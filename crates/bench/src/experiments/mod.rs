@@ -25,7 +25,7 @@
 //! | splits-scan | (beyond the paper) intra-file split scanning | [`splits::splits`] |
 //! | spill | (beyond the paper) memory-budget sweep, spilling operators | [`spill::spill`] |
 //! | service | (beyond the paper) concurrent-serving throughput sweep | [`service::service`] |
-//! | stage1 | (beyond the paper) vectorized stage-1 kernel sweep | [`stage1::stage1`] |
+//! | stage1 | (beyond the paper) SWAR vs scalar stage-1 sweep | [`stage1::stage1`] |
 
 pub mod ablation;
 pub mod compare_cluster;

@@ -1,22 +1,18 @@
-//! Stage-1 kernel sweep (beyond the paper): vectorized structural-index
-//! build throughput per kernel, and its end-to-end effect on the scan-
-//! bound queries.
+//! Stage-1 sweep (beyond the paper): structural-index build throughput
+//! with the SWAR stage 1 versus the scalar per-byte scan, and its
+//! end-to-end effect on the scan-bound queries.
 //!
-//! The first table is the PR's perf baseline: single-thread
-//! `StructuralIndex` build throughput (GB/s) per stage-1 kernel over
-//! GHCN-shaped files of growing size, with the SWAR-vs-scalar ratio the
-//! acceptance criterion tracks. The second table runs Q0/Q0b through the
-//! whole engine at growing partition counts, scalar stage 1 versus the
-//! auto-selected kernel. A machine-readable summary lands in
-//! `target/bench-results/stage1.json` so future runs can diff against a
-//! recorded baseline.
+//! The first table is single-thread `StructuralIndex` build throughput
+//! (GB/s) per stage-1 mode over GHCN-shaped files of growing size, with
+//! the SWAR-vs-scalar ratio. The second table runs Q0/Q0b through the
+//! whole engine at growing partition counts, scalar versus SWAR.
 
 use crate::{ms, Harness, Table};
 use algebra::rules::RuleConfig;
 use dataflow::ClusterSpec;
 use datagen::SensorSpec;
 use jdm::index::StructuralIndex;
-use jdm::stage1::{available_kernels, Kernel, Stage1Mode};
+use jdm::stage1::Stage1Mode;
 use std::fmt::Write as _;
 use std::time::Instant;
 use vxq_core::queries::{Q0, Q0B};
@@ -26,7 +22,7 @@ use vxq_core::ScanOptions;
 /// paper's collection is built from — ISO-8601 timestamps, `GHCND:`
 /// station ids, attribute-flag strings. Noticeably string-heavier than
 /// the abbreviated sensor records the query datasets use, and the shape
-/// the kernel throughput numbers are defined on. Deterministic, cached
+/// the throughput numbers are defined on. Deterministic, cached
 /// on disk keyed by size.
 fn ghcn_file(h: &Harness, bytes: usize) -> Vec<u8> {
     let path = h.data_dir.join(format!("stage1-ghcnd-{bytes}.json"));
@@ -71,32 +67,25 @@ fn ghcn_file(h: &Harness, bytes: usize) -> Vec<u8> {
     out.into_bytes()
 }
 
-/// Forced mode that resolves to exactly `kernel` on this machine.
-fn mode_for(kernel: Kernel) -> Stage1Mode {
-    match kernel {
-        Kernel::Scalar => Stage1Mode::Scalar,
-        Kernel::Swar => Stage1Mode::Swar,
-        Kernel::Sse2 => Stage1Mode::Sse2,
-        Kernel::Avx2 => Stage1Mode::Avx2,
-    }
-}
+/// The swept modes, scalar first.
+const MODES: [Stage1Mode; 2] = [Stage1Mode::Scalar, Stage1Mode::Swar];
 
-/// Per-kernel single-thread index-build timings over `reps` rounds. The
-/// kernels are interleaved round-robin within each round so a shared or
-/// thermally throttled CPU penalizes them all equally instead of biasing
-/// whichever kernel happened to run during a slow window. Returns
-/// `times[kernel][round]` in seconds.
-fn build_times(buf: &[u8], kernels: &[Kernel], reps: usize) -> Vec<Vec<f64>> {
-    let mut tapes: Vec<Vec<jdm::index::TapeEntry>> = kernels.iter().map(|_| Vec::new()).collect();
-    let mut times = vec![Vec::with_capacity(reps); kernels.len()];
+/// Per-mode single-thread index-build timings over `reps` rounds. The
+/// modes are interleaved within each round so a shared or thermally
+/// throttled CPU penalizes both equally instead of biasing whichever mode
+/// happened to run during a slow window. Returns `times[mode][round]` in
+/// seconds.
+fn build_times(buf: &[u8], reps: usize) -> [Vec<f64>; 2] {
+    let mut tapes: [Vec<jdm::index::TapeEntry>; 2] = Default::default();
+    let mut times: [Vec<f64>; 2] = Default::default();
     // Round 0 is an untimed warm-up: it sizes the tapes and faults the
     // buffer in.
     for rep in 0..=reps {
-        for (i, &k) in kernels.iter().enumerate() {
+        for (i, mode) in MODES.into_iter().enumerate() {
             let tape = std::mem::take(&mut tapes[i]);
             let started = Instant::now();
-            let index = StructuralIndex::build_reusing_with(buf, tape, mode_for(k))
-                .expect("valid bench file");
+            let index =
+                StructuralIndex::build_reusing_with(buf, tape, mode).expect("valid bench file");
             let elapsed = started.elapsed().as_secs_f64();
             if rep > 0 {
                 times[i].push(elapsed);
@@ -114,26 +103,25 @@ fn median(samples: &[f64]) -> f64 {
     s[s.len() / 2]
 }
 
-/// Kernel × file size × partitions sweep.
+/// Mode × file size × partitions sweep.
 pub fn stage1(h: &Harness) -> Vec<Table> {
-    let kernels = available_kernels();
-
-    // --- kernel × file size: raw single-thread build throughput --------
+    // --- mode × file size: raw single-thread build throughput ----------
     //
     // File sizes are absolute (not scale-multiplied): stage-1 throughput
     // is a per-byte property, and the size axis probes the machine's
     // cache regimes — which are absolute — from L2-resident through
-    // DRAM-streaming (the mask-driven build also writes the tape, ~1.6x
+    // DRAM-streaming (the word-driven build also writes the tape, ~1.6x
     // the input, so it meets the memory-bandwidth ceiling first).
-    let mut header: Vec<String> = vec!["file size (MiB)".into()];
-    header.extend(kernels.iter().map(|k| format!("{} (GB/s)", k.label())));
-    header.push("swar/scalar (best)".into());
-    header.push("(median)".into());
     let mut t1 = Table::new(
-        "Stage 1 — structural-index build throughput by kernel, GHCN-shaped file",
-        &header.iter().map(String::as_str).collect::<Vec<_>>(),
+        "Stage 1 — structural-index build throughput, scalar vs SWAR, GHCN-shaped file",
+        &[
+            "file size (MiB)",
+            "scalar (GB/s)",
+            "swar (GB/s)",
+            "swar/scalar (best)",
+            "(median)",
+        ],
     );
-    let mut json_sizes = String::new();
     for bytes in [
         128 * 1024usize,
         512 * 1024,
@@ -141,75 +129,55 @@ pub fn stage1(h: &Harness) -> Vec<Table> {
         8 * 1024 * 1024,
     ] {
         let buf = ghcn_file(h, bytes);
-        // Best-of over enough rounds that every kernel sees a quiet CPU
+        // Best-of over enough rounds that both modes see a quiet CPU
         // window at least once; smaller files get more rounds for free.
         let reps = (48 * 1024 * 1024 / buf.len()).clamp(h.repeat.max(8), 30);
-        let mut row = vec![format!("{:.2}", buf.len() as f64 / (1024.0 * 1024.0))];
-        let times = build_times(&buf, &kernels, reps);
-        let mut kernel_json = String::new();
-        for (&k, samples) in kernels.iter().zip(&times) {
-            // Throughput from the fastest (least-disturbed) round.
-            let best = samples.iter().cloned().fold(f64::INFINITY, f64::min);
-            let gbps = buf.len() as f64 / best / 1e9;
-            row.push(format!("{gbps:.3}"));
-            if !kernel_json.is_empty() {
-                kernel_json.push(',');
-            }
-            let _ = write!(kernel_json, "\"{}\":{gbps:.4}", k.label());
-        }
+        let [scalar, swar] = build_times(&buf, reps);
+        // Throughput from the fastest (least-disturbed) round.
+        let best_of = |t: &[f64]| t.iter().cloned().fold(f64::INFINITY, f64::min);
+        let gbps = |t: &[f64]| buf.len() as f64 / best_of(t) / 1e9;
         // Two speed-up estimators, because the host is noisy. "best"
-        // compares each kernel's least-disturbed round — the
-        // architectural speed-up a quiet machine would show. "median" is
-        // the median of *paired* per-round ratios (both kernels of a
-        // pair ran back-to-back inside the same throttle window, so
-        // external slowdowns mostly cancel) — the typical speed-up under
-        // whatever contention the host is seeing.
-        let scalar_i = kernels.iter().position(|&k| k == Kernel::Scalar).unwrap();
-        let swar_i = kernels.iter().position(|&k| k == Kernel::Swar).unwrap();
-        let best_of = |i: usize| times[i].iter().cloned().fold(f64::INFINITY, f64::min);
-        let ratio_best = best_of(scalar_i) / best_of(swar_i).max(1e-12);
-        let per_round: Vec<f64> = times[scalar_i]
+        // compares each mode's least-disturbed round — the speed-up a
+        // quiet machine would show. "median" is the median of *paired*
+        // per-round ratios (both modes of a pair ran back-to-back inside
+        // the same throttle window, so external slowdowns mostly cancel)
+        // — the typical speed-up under whatever contention the host is
+        // seeing.
+        let ratio_best = best_of(&scalar) / best_of(&swar).max(1e-12);
+        let per_round: Vec<f64> = scalar
             .iter()
-            .zip(&times[swar_i])
+            .zip(&swar)
             .map(|(s, v)| s / v.max(1e-12))
             .collect();
-        let ratio_median = median(&per_round);
-        row.push(format!("{ratio_best:.2}x"));
-        row.push(format!("{ratio_median:.2}x"));
-        t1.row(row);
-        if !json_sizes.is_empty() {
-            json_sizes.push(',');
-        }
-        let _ = write!(
-            json_sizes,
-            "{{\"bytes\":{},\"kernels\":{{{kernel_json}}},\"swar_speedup\":{ratio_best:.3},\
-             \"swar_speedup_median\":{ratio_median:.3}}}",
-            buf.len()
-        );
+        t1.row(vec![
+            format!("{:.2}", buf.len() as f64 / (1024.0 * 1024.0)),
+            format!("{:.3}", gbps(&scalar)),
+            format!("{:.3}", gbps(&swar)),
+            format!("{ratio_best:.2}x"),
+            format!("{:.2}x", median(&per_round)),
+        ]);
     }
     t1.note = "Single-thread build of the full structural index over NOAA \
                GHCN web-service records; the scalar column is the original \
-               per-byte scan, the others consume stage-1 bitmasks. Large \
-               files leave cache and the mask-driven build (input + tape \
-               streaming) hits the memory-bandwidth ceiling first, \
-               compressing the ratio."
+               per-byte scan, swar consumes the stage-1 words. Large \
+               files leave cache, where the word-driven build (input + \
+               tape streaming) can meet the memory-bandwidth ceiling \
+               first and compress the ratio."
         .into();
 
-    // --- end to end: Q0/Q0b, scalar vs auto, growing partitions --------
+    // --- end to end: Q0/Q0b, scalar vs SWAR, growing partitions --------
     let mut t2 = Table::new(
-        "Stage 1 — end-to-end Q0/Q0b, scalar stage 1 vs auto-selected kernel",
+        "Stage 1 — end-to-end Q0/Q0b, scalar stage 1 vs SWAR",
         &[
             "query",
             "partitions",
             "scalar (ms)",
-            "auto (ms)",
+            "swar (ms)",
             "speed-up",
         ],
     );
-    let auto_label = Stage1Mode::Auto.resolve().label();
     let spec = SensorSpec::sized(2 * 1024 * 1024 * h.scale.factor(), 1, 2, 30);
     let root = h.dataset("stage1-e2e", &spec);
-    let mut json_e2e = String::new();
     for (name, query) in [("q0", Q0), ("q0b", Q0B)] {
         for parts in [1usize, 2] {
             let cluster = ClusterSpec {
@@ -218,7 +186,7 @@ pub fn stage1(h: &Harness) -> Vec<Table> {
                 ..Default::default()
             };
             let mut times = Vec::new();
-            for mode in [Stage1Mode::Scalar, Stage1Mode::Auto] {
+            for mode in MODES {
                 let scan = ScanOptions {
                     stage1: mode,
                     ..ScanOptions::default()
@@ -234,32 +202,11 @@ pub fn stage1(h: &Harness) -> Vec<Table> {
                 ms(times[1]),
                 format!("{speedup:.2}x"),
             ]);
-            if !json_e2e.is_empty() {
-                json_e2e.push(',');
-            }
-            let _ = write!(
-                json_e2e,
-                "{{\"query\":\"{name}\",\"partitions\":{parts},\"scalar_ms\":{:.3},\
-                 \"auto_ms\":{:.3},\"speedup\":{speedup:.3}}}",
-                times[0].as_secs_f64() * 1e3,
-                times[1].as_secs_f64() * 1e3
-            );
         }
     }
-    t2.note = format!(
-        "auto resolves to `{auto_label}` on this machine; end-to-end wins are \
-         bounded by the index build's share of total query time (Amdahl)."
-    );
-
-    // Machine-readable perf baseline for future regression diffs.
-    let summary = format!(
-        "{{\"experiment\":\"stage1\",\"auto_kernel\":\"{auto_label}\",\
-         \"sizes\":[{json_sizes}],\"e2e\":[{json_e2e}]}}\n"
-    );
-    let out_dir = std::path::Path::new("target/bench-results");
-    if std::fs::create_dir_all(out_dir).is_ok() {
-        let _ = std::fs::write(out_dir.join("stage1.json"), summary);
-    }
+    t2.note = "End-to-end wins are bounded by the index build's share of \
+               total query time (Amdahl)."
+        .into();
 
     vec![t1, t2]
 }

@@ -2,13 +2,10 @@
 //!
 //! Regenerates every table and figure of the paper's §5 at laptop scale
 //! (collection sizes are ~1000× smaller; DESIGN.md §3 argues why the
-//! *shapes* survive the scaling). Two entry points:
-//!
-//! * the `experiments` binary — `cargo run -p bench --release --
-//!   <fig13|fig14|...|table4|all>` prints each experiment as a table with
-//!   the same rows/series the paper reports;
-//! * Criterion benches (`cargo bench -p bench`) — statistical versions of
-//!   the same measurements, one Criterion group per figure/table.
+//! *shapes* survive the scaling). The entry point is the `experiments`
+//! binary — `cargo run -p bench --release -- <fig13|fig14|...|table4|all>`
+//! prints each experiment as a table with the same rows/series the paper
+//! reports.
 //!
 //! The [`experiments`] module holds one function per figure/table; this
 //! module holds shared plumbing: the dataset cache, timing helpers and

@@ -216,8 +216,8 @@ pub struct SplitProfile {
     pub index_bytes: u64,
     /// Wall time of that structural-index build.
     pub index_elapsed: Duration,
-    /// Stage-1 kernel label (`scalar`/`swar`/`sse2`/`avx2`) of the index
-    /// this split navigated; `None` for index-free sources.
+    /// Stage-1 mode label (`scalar`/`swar`) of the index this split
+    /// navigated; `None` for index-free sources.
     pub kernel: Option<&'static str>,
 }
 

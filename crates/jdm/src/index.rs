@@ -32,14 +32,14 @@ use crate::item::Item;
 use crate::number::Number;
 use crate::parse::{number_at, parse_string_at, scan_number_at};
 use crate::parse::{Event, EventParser, TreeBuilder, MAX_DEPTH};
-use crate::stage1::{IndexBlock, IndexScanner, Kernel, Stage1Mode};
+use crate::stage1::{IndexScanner, Stage1Mode};
 use std::borrow::Cow;
 use std::cell::RefCell;
 
 thread_local! {
-    /// Per-thread stage-1 scratch: block-mask storage reused across
+    /// Per-thread stage-1 scratch: block-word storage reused across
     /// documents so steady-state index builds allocate nothing.
-    static STAGE1_SCRATCH: RefCell<Vec<IndexBlock>> = const { RefCell::new(Vec::new()) };
+    static STAGE1_SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Kind of one tape node.
@@ -83,14 +83,14 @@ pub struct TapeEntry {
 #[derive(Debug, Clone)]
 pub struct StructuralIndex {
     tape: Vec<TapeEntry>,
-    kernel: Kernel,
+    mode: Stage1Mode,
 }
 
 impl StructuralIndex {
     /// Build the index over one complete JSON value (trailing bytes after
     /// the value are an error, matching [`crate::parse::parse_item`]).
-    /// Stage-1 kernel selection follows the process-wide `VXQ_STAGE1`
-    /// setting; use [`StructuralIndex::build_with`] to pin it.
+    /// The stage-1 mode follows the process-wide `VXQ_STAGE1` setting;
+    /// use [`StructuralIndex::build_with`] to pin it.
     pub fn build(buf: &[u8]) -> Result<Self> {
         Self::build_reusing(buf, Vec::new())
     }
@@ -108,13 +108,13 @@ impl StructuralIndex {
 
     /// [`StructuralIndex::build_reusing`] with an explicit stage-1 mode.
     ///
-    /// In any mode other than [`Stage1Mode::Scalar`] the document is first
-    /// run through the vectorized stage-1 scanner ([`crate::stage1`]) and
-    /// the builder consumes bitmasks — whitespace skipping, string-close
-    /// discovery and clean-string validation become mask iteration. Every
-    /// non-clean case (escapes, control bytes, invalid UTF-8, unterminated
-    /// strings) is delegated to the shared scalar routines, so accepted
-    /// documents, errors and error offsets are identical across modes.
+    /// In [`Stage1Mode::Swar`] the document streams through the stage-1
+    /// classifier ([`crate::stage1`]) and the builder consumes its
+    /// `interesting` words — string-close discovery and clean-string
+    /// validation become bit iteration. Every non-clean case (escapes,
+    /// control bytes, invalid UTF-8, unterminated strings) is delegated to
+    /// the shared scalar routines, so accepted documents, errors and error
+    /// offsets are identical across modes.
     pub fn build_reusing_with(
         buf: &[u8],
         mut tape: Vec<TapeEntry>,
@@ -124,8 +124,7 @@ impl StructuralIndex {
         if buf.len() > u32::MAX as usize {
             return Err(JdmError::parse(0, "document exceeds the 4 GiB index limit"));
         }
-        let kernel = mode.resolve();
-        if kernel == Kernel::Scalar {
+        if mode == Stage1Mode::Scalar {
             let mut b = Builder {
                 buf,
                 pos: 0,
@@ -136,10 +135,7 @@ impl StructuralIndex {
                 mask_word: 0,
             };
             b.run()?;
-            return Ok(StructuralIndex {
-                tape: b.tape,
-                kernel,
-            });
+            return Ok(StructuralIndex { tape: b.tape, mode });
         }
         STAGE1_SCRATCH.with(|cell| {
             let mut scratch = cell.borrow_mut();
@@ -148,22 +144,19 @@ impl StructuralIndex {
                 pos: 0,
                 tape,
                 stack: Vec::new(),
-                scanner: Some(IndexScanner::new(buf, kernel, &mut scratch)),
+                scanner: Some(IndexScanner::new(buf, &mut scratch)),
                 mask_blk: usize::MAX,
                 mask_word: 0,
             };
             b.run()?;
-            Ok(StructuralIndex {
-                tape: b.tape,
-                kernel,
-            })
+            Ok(StructuralIndex { tape: b.tape, mode })
         })
     }
 
-    /// The stage-1 kernel that built this index.
+    /// The stage-1 mode that built this index.
     #[inline]
-    pub fn kernel(&self) -> Kernel {
-        self.kernel
+    pub fn kernel(&self) -> Stage1Mode {
+        self.mode
     }
 
     /// The raw tape.
@@ -319,10 +312,10 @@ struct Builder<'a> {
     /// Currently open containers, encoded `tape_index << 1 | is_object`
     /// so the separator loop never has to load the open entry's kind.
     stack: Vec<u64>,
-    /// Streaming stage-1 classifier (fused index profile) when a vector
-    /// kernel is active; `None` in scalar mode (the original per-byte
-    /// scan). Classification runs in cache-sized chunks just ahead of
-    /// this builder's byte cursor, so the document is read once.
+    /// Streaming stage-1 classifier in SWAR mode; `None` in scalar mode
+    /// (the original per-byte scan). Classification runs in cache-sized
+    /// chunks just ahead of this builder's byte cursor, so the document
+    /// is read once.
     scanner: Option<IndexScanner<'a>>,
     /// Running stage-1 cursor: the block index and remaining `interesting`
     /// bits last consulted by [`Builder::string_end`]. The builder's
@@ -425,13 +418,12 @@ impl Builder<'_> {
     }
 
     /// Scan the string whose opening quote is at `self.pos`; returns the
-    /// offset just past the closing quote. Mask-driven when stage-1 masks
-    /// are present: the closing quote comes straight from the
-    /// `interesting` bitmask, and a clean span (no escapes, no control
-    /// bytes, pure ASCII) is accepted without per-byte scanning. Every
-    /// non-clean case delegates to [`parse_string_at`], so validation
-    /// behavior and error offsets are identical to the scalar scan by
-    /// construction.
+    /// offset just past the closing quote. Mask-driven when stage 1 is
+    /// active: the closing quote comes straight from the `interesting`
+    /// words, and a clean span (no escapes, no control bytes, pure ASCII)
+    /// is accepted without per-byte scanning. Every non-clean case
+    /// delegates to [`parse_string_at`], so validation behavior and error
+    /// offsets are identical to the scalar scan by construction.
     fn string_end(&mut self) -> Result<usize> {
         if self.scanner.is_none() {
             return Ok(parse_string_at(self.buf, self.pos)?.1);
@@ -477,10 +469,10 @@ impl Builder<'_> {
     }
 
     /// Stage-1 `interesting` word for block `blk`, advancing the
-    /// streaming classifier as needed. Masked mode only.
+    /// streaming classifier as needed. SWAR mode only.
     #[inline(always)]
     fn interesting_word(&mut self, blk: usize) -> Option<u64> {
-        self.scanner.as_mut().expect("masked mode").word(blk)
+        self.scanner.as_mut().expect("SWAR mode").word(blk)
     }
 
     /// Record a key entry and consume through the `:` (cursor lands at the
@@ -730,8 +722,8 @@ mod tests {
 
     #[test]
     fn kernels_build_identical_tapes_or_identical_errors() {
-        use crate::stage1::Stage1Mode;
-        let docs: &[&str] = &[
+        use crate::stage1::IndexScanner;
+        let mut docs: Vec<String> = [
             r#"{"a": [1, "x"], "b": null}"#,
             r#"{"k\n": [1.5, "sé", true, null, -0], "z": {}}"#,
             "  [ 1 ,\t2 ,\n3 ]  ",
@@ -748,27 +740,41 @@ mod tests {
             "\"a\x01b\"",
             "\"unterminated",
             "\"bad \\",
-        ];
-        for doc in docs {
+        ]
+        .into_iter()
+        .map(String::from)
+        .collect();
+        // Over 128 KiB: an escaped and a clean string each straddle one of
+        // the streaming classifier's chunk edges (the escaping backslash
+        // is the first chunk's last byte).
+        let chunk = IndexScanner::CHUNK;
+        let pad_to = |s: &mut String, len: usize| {
+            while s.len() + 2 <= len {
+                s.push_str("1,");
+            }
+            while s.len() < len {
+                s.push(' ');
+            }
+        };
+        let mut big = String::from("[");
+        pad_to(&mut big, chunk - 3);
+        big.push_str(r#""a\"b", "#);
+        pad_to(&mut big, 2 * chunk - 3);
+        big.push_str(r#""clean"]"#);
+        assert_eq!(big.find('\\'), Some(chunk - 1));
+        assert_eq!(big.rfind("\"clean"), Some(2 * chunk - 3));
+        docs.push(big);
+        for doc in &docs {
             let scalar = StructuralIndex::build_with(doc.as_bytes(), Stage1Mode::Scalar);
-            for mode in [
-                Stage1Mode::Swar,
-                Stage1Mode::Sse2,
-                Stage1Mode::Avx2,
-                Stage1Mode::Auto,
-            ] {
-                let got = StructuralIndex::build_with(doc.as_bytes(), mode);
-                match (&scalar, &got) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(a.tape(), b.tape(), "{mode:?} tape differs on {doc:?}")
-                    }
-                    (Err(a), Err(b)) => assert_eq!(a, b, "{mode:?} error differs on {doc:?}"),
-                    _ => {
-                        panic!("{mode:?} accept/reject mismatch on {doc:?}: {scalar:?} vs {got:?}")
-                    }
-                }
+            let swar = StructuralIndex::build_with(doc.as_bytes(), Stage1Mode::Swar);
+            match (&scalar, &swar) {
+                (Ok(a), Ok(b)) => assert_eq!(a.tape(), b.tape(), "tape differs on {doc:?}"),
+                (Err(a), Err(b)) => assert_eq!(a, b, "error differs on {doc:?}"),
+                _ => panic!("accept/reject mismatch on {doc:?}: {scalar:?} vs {swar:?}"),
             }
         }
+        let big = docs.last().unwrap().as_bytes();
+        assert!(StructuralIndex::build_with(big, Stage1Mode::Swar).is_ok());
     }
 
     #[test]

@@ -17,11 +17,10 @@
 //!   pairs) into a flat tape, so navigation skips subtrees in O(1)
 //!   without re-scanning bytes, and arrays expose record boundaries for
 //!   split-parallel scans.
-//! * [`stage1`] — the **vectorized stage-1 scanner** feeding the index
-//!   builder: 64-byte blocks in, per-block bitmasks out (quotes, escapes,
-//!   in-string state, whitespace, structural characters), with portable
-//!   SWAR and runtime-detected SSE2/AVX2 kernels selectable via
-//!   `VXQ_STAGE1`.
+//! * [`stage1`] — the **stage-1 classifier** feeding the index builder:
+//!   64-byte blocks in, one portable SWAR bitmask word per block out
+//!   (quotes, backslashes, control and non-ASCII bytes); `VXQ_STAGE1=scalar`
+//!   switches the builder to its per-byte scan instead.
 //! * [`project`] — the **path-projecting parser**: given a projection path
 //!   (e.g. `("root")()("results")()`), it streams each matching sub-item to
 //!   a callback *without materializing anything else*. This is the runtime

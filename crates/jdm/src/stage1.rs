@@ -1,99 +1,64 @@
-//! Vectorized stage-1 structural scanning.
+//! Stage-1 structural classification for the index builder.
 //!
 //! This is the simdjson-style (Langdale & Lemire, *Parsing Gigabytes of
-//! JSON per Second*) front half of the two-stage parse: the input is
-//! processed in 64-byte blocks and each block is summarized as a handful
-//! of bitmasks — one bit per byte — that the tape builder
-//! ([`crate::index::StructuralIndex`]) then consumes instead of touching
-//! bytes one at a time.
+//! JSON per Second*) front half of the two-stage parse, cut down to the
+//! one output the tape builder ([`crate::index::StructuralIndex`])
+//! consumes. The input is processed in 64-byte blocks, and each block is
+//! summarized as a single `u64` word, one bit per byte:
 //!
-//! The full per-block mask set ([`BlockMasks`], produced by
-//! [`Stage1Masks::scan`]) is:
+//! `interesting = quote | backslash | ctrl | nonascii`
 //!
-//! * `backslash` — raw `\` positions (escape analysis input);
-//! * `quote` — `"` positions that are **not** escaped, computed with the
-//!   carry-propagated odd/even backslash-run trick so escape state flows
-//!   across block boundaries;
-//! * `in_string` — prefix-XOR of `quote`: a bit is set for the opening
-//!   quote and every interior byte of a string, clear on the closing
-//!   quote; the sign bit carries the "still inside a string" state into
-//!   the next block;
-//! * `ws` — JSON whitespace (space, tab, LF, CR), context-free;
-//! * `op` — the structural characters `{ } [ ] : ,`, context-free;
-//! * `ctrl` — bytes `< 0x20` (must be escaped inside strings);
-//! * `nonascii` — bytes `>= 0x80` (UTF-8 validation trigger).
+//! i.e. every `"`, every `\`, every byte `< 0x20` and every byte
+//! `>= 0x80`. One word suffices because the builder only scans *forward
+//! from a fresh opening quote*: the first interesting byte of the string
+//! body decides the whole span — a `"` is an unescaped clean close by
+//! construction (any escaping backslash would have been interesting
+//! first), anything else sends the string to the scalar slow path. So
+//! there is no escape carry and no in-string state to thread across
+//! blocks, and whitespace skipping stays a plain byte loop in the
+//! builder (real-world compact JSON has 0–1 byte whitespace runs, where a
+//! byte loop beats mask iteration).
 //!
-//! Except for `quote`/`in_string`, masks are raw byte classifications;
-//! consumers are expected to intersect them with string context as
-//! needed.
+//! The classifier is portable SWAR: `u64` arithmetic over eight byte
+//! lanes at a time, in safe Rust with no platform-specific code. The
+//! builder preserves exact validation parity with its scalar mode by
+//! delegating every non-clean case (escapes, control characters, invalid
+//! UTF-8, unterminated strings) to the shared scalar routines, so
+//! accepted documents, errors and error offsets cannot diverge by
+//! construction; the test suite pins the words to their per-byte
+//! definition.
 //!
-//! The index builder consumes a *fused* profile of the same
-//! classifications ([`IndexMasks`]): a single mask,
-//! `interesting = quote | backslash | ctrl | nonascii`. One mask
-//! suffices because the builder only scans *forward from a fresh opening
-//! quote*: the first interesting byte of the string body decides the
-//! whole span — a `"` is an unescaped clean close by construction (any
-//! escaping backslash would have been interesting first), anything else
-//! sends the string to the scalar slow path. That removes the escape
-//! carry pass entirely from the hot profile (and whitespace skipping
-//! stays a plain byte loop: it is pure position advance, so any
-//! implementation is parity-safe, and real-world compact JSON has 0–1
-//! byte whitespace runs where a byte loop beats mask iteration). Both
-//! profiles come out of the same classification kernels, and the test
-//! suite pins the fused profile to the per-byte definition.
-//!
-//! Three interchangeable kernels produce the per-block classifications:
-//! a per-byte scalar reference, a portable SWAR kernel (plain `u64`
-//! arithmetic, no platform dependence), and `x86_64` SSE2/AVX2 kernels
-//! behind runtime feature detection. All kernels must produce
-//! bit-identical masks — the proptest suite enforces this — and the
-//! consumer ([`crate::index`]) preserves exact validation parity with the
-//! scalar builder by delegating every non-clean case (escapes, control
-//! characters, invalid UTF-8, unterminated strings) to the shared scalar
-//! routines, so errors and offsets cannot diverge by construction.
-//!
-//! Kernel selection is controlled by [`Stage1Mode`], settable per scan
-//! (`ScanOptions` in `vxq-core`) or process-wide via the `VXQ_STAGE1`
-//! environment variable (`auto`, `simd`, `swar`, `scalar`, and the
-//! benchmarking overrides `sse2`/`avx2`).
+//! [`Stage1Mode`] selects between the SWAR path (the default) and the
+//! builder's original per-byte scan, per scan (`ScanOptions` in
+//! `vxq-core`) or process-wide via the `VXQ_STAGE1` environment variable
+//! (`swar` or `scalar`).
 
 use std::sync::OnceLock;
 
-/// How stage 1 should run; resolved to a concrete [`Kernel`] at scan time.
+/// How the structural index finds string spans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Stage1Mode {
-    /// Pick the fastest available kernel (AVX2 → SSE2 → SWAR).
+    /// Classify 64-byte blocks with the portable SWAR kernel and drive
+    /// string scanning from the `interesting` words.
     #[default]
-    Auto,
-    /// Best vector kernel, falling back to SWAR off x86_64.
-    Simd,
-    /// Force the portable SWAR kernel.
     Swar,
     /// Bypass stage 1 entirely: the builder runs its original per-byte
-    /// scalar scan (first-class fallback, exercised in CI).
+    /// scan (the differential oracle, exercised in CI).
     Scalar,
-    /// Force SSE2 (benchmark override; SWAR off x86_64).
-    Sse2,
-    /// Force AVX2 (benchmark override; downgrades when not detected).
-    Avx2,
 }
 
 impl Stage1Mode {
     /// Parse a `VXQ_STAGE1` value. Unknown strings yield `None`.
     pub fn parse(s: &str) -> Option<Self> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "auto" => Some(Stage1Mode::Auto),
-            "simd" => Some(Stage1Mode::Simd),
             "swar" => Some(Stage1Mode::Swar),
             "scalar" => Some(Stage1Mode::Scalar),
-            "sse2" => Some(Stage1Mode::Sse2),
-            "avx2" => Some(Stage1Mode::Avx2),
             _ => None,
         }
     }
 
-    /// The process-wide mode from `VXQ_STAGE1` (read once; `Auto` when
-    /// unset or unrecognized).
+    /// The process-wide mode from `VXQ_STAGE1` (read once; the default
+    /// when unset or unrecognized).
     pub fn from_env() -> Self {
         static MODE: OnceLock<Stage1Mode> = OnceLock::new();
         *MODE.get_or_init(|| {
@@ -104,358 +69,24 @@ impl Stage1Mode {
         })
     }
 
-    /// Resolve to a concrete kernel on this machine. Forced vector modes
-    /// degrade gracefully (AVX2 → SSE2 → SWAR) so a pinned configuration
-    /// never fails to run.
-    pub fn resolve(self) -> Kernel {
-        match self {
-            Stage1Mode::Scalar => Kernel::Scalar,
-            Stage1Mode::Swar => Kernel::Swar,
-            Stage1Mode::Sse2 => sse2_kernel(),
-            Stage1Mode::Avx2 | Stage1Mode::Auto | Stage1Mode::Simd => best_kernel(),
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn sse2_kernel() -> Kernel {
-    // SSE2 is part of the x86_64 baseline: always available.
-    Kernel::Sse2
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn sse2_kernel() -> Kernel {
-    Kernel::Swar
-}
-
-#[cfg(target_arch = "x86_64")]
-fn best_kernel() -> Kernel {
-    if std::arch::is_x86_feature_detected!("avx2") {
-        Kernel::Avx2
-    } else {
-        Kernel::Sse2
-    }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn best_kernel() -> Kernel {
-    Kernel::Swar
-}
-
-/// A concrete stage-1 implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Kernel {
-    /// No masks; the builder's original per-byte scan.
-    Scalar,
-    /// Portable `u64` SWAR classification.
-    Swar,
-    /// `core::arch::x86_64` SSE2 (baseline on x86_64).
-    Sse2,
-    /// `core::arch::x86_64` AVX2 (runtime-detected).
-    Avx2,
-}
-
-impl Kernel {
     /// Stable lowercase label for profiles/metrics.
     pub fn label(self) -> &'static str {
         match self {
-            Kernel::Scalar => "scalar",
-            Kernel::Swar => "swar",
-            Kernel::Sse2 => "sse2",
-            Kernel::Avx2 => "avx2",
+            Stage1Mode::Swar => "swar",
+            Stage1Mode::Scalar => "scalar",
         }
     }
 }
 
-/// Every kernel that can run on this machine (always includes `Scalar`
-/// and `Swar`); used by benches and differential tests to sweep them all.
-pub fn available_kernels() -> Vec<Kernel> {
-    let mut out = vec![Kernel::Scalar, Kernel::Swar];
-    #[cfg(target_arch = "x86_64")]
-    {
-        out.push(Kernel::Sse2);
-        if std::arch::is_x86_feature_detected!("avx2") {
-            out.push(Kernel::Avx2);
-        }
-    }
-    out
-}
-
-/// The full bitmasks of one 64-byte block. Bit `i` corresponds to byte
-/// `block_start + i` (little-endian bit order). Bits past the end of the
-/// input (in the final, partial block) are zero in every mask.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BlockMasks {
-    /// Raw `\` positions.
-    pub backslash: u64,
-    /// Unescaped `"` positions.
-    pub quote: u64,
-    /// Prefix-XOR of `quote` (open bit and interior set, close bit clear).
-    pub in_string: u64,
-    /// Space, tab, LF, CR.
-    pub ws: u64,
-    /// `{ } [ ] : ,`.
-    pub op: u64,
-    /// Bytes `< 0x20`.
-    pub ctrl: u64,
-    /// Bytes `>= 0x80`.
-    pub nonascii: u64,
-}
-
-/// The fused per-block mask the index builder consumes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IndexBlock {
-    /// `quote | backslash | ctrl | nonascii` — every byte that can end a
-    /// clean string span or disqualify it from the mask-only fast path.
-    pub interesting: u64,
-}
-
-/// Raw, context-free byte classifications of one block — what a kernel
-/// produces before the escape/string post-processing derives the final
-/// masks. The full profile fills everything but `interesting`; the index
-/// profile fills only `interesting`.
-#[derive(Debug, Clone, Copy, Default)]
-struct RawBlock {
-    backslash: u64,
-    quote: u64,
-    ws: u64,
-    op: u64,
-    ctrl: u64,
-    nonascii: u64,
-    interesting: u64,
-}
-
-impl RawBlock {
-    /// Zero all bits at and above `n` (tail-block padding).
-    fn truncate(&mut self, n: usize) {
-        debug_assert!(n < 64);
-        let valid = (1u64 << n) - 1;
-        self.backslash &= valid;
-        self.quote &= valid;
-        self.ws &= valid;
-        self.op &= valid;
-        self.ctrl &= valid;
-        self.nonascii &= valid;
-        self.interesting &= valid;
-    }
-}
-
-/// The full stage-1 scan result over one document: one [`BlockMasks`]
-/// per 64-byte block. Reusable across documents
-/// ([`Stage1Masks::scan_into`] keeps the allocation).
-#[derive(Debug, Clone, Default)]
-pub struct Stage1Masks {
-    blocks: Vec<BlockMasks>,
-    len: usize,
-    kernel: Option<Kernel>,
-}
-
-impl Stage1Masks {
-    /// Scan `buf` with `kernel` into a fresh mask set.
-    pub fn scan(buf: &[u8], kernel: Kernel) -> Self {
-        let mut m = Stage1Masks::default();
-        m.scan_into(buf, kernel);
-        m
-    }
-
-    /// Scan `buf` with `kernel`, reusing this value's block storage.
-    /// `Kernel::Scalar` runs the per-byte reference classifier (the
-    /// builder never asks for masks in scalar mode, but tests do).
-    pub fn scan_into(&mut self, buf: &[u8], kernel: Kernel) {
-        self.blocks.clear();
-        self.len = buf.len();
-        self.kernel = Some(kernel);
-        let out = &mut self.blocks;
-        match kernel {
-            Kernel::Scalar => scan_full(buf, out, classify_ref::<true>),
-            Kernel::Swar => scan_full(buf, out, classify_swar::<true>),
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Sse2 => scan_full(buf, out, x86::classify_sse2_full),
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => x86::with_avx2(|c| scan_full(buf, out, c)),
-            #[cfg(not(target_arch = "x86_64"))]
-            Kernel::Sse2 | Kernel::Avx2 => scan_full(buf, out, classify_swar::<true>),
-        }
-    }
-
-    /// Length of the scanned input in bytes.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the scanned input was empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The per-block masks.
-    #[inline]
-    pub fn blocks(&self) -> &[BlockMasks] {
-        &self.blocks
-    }
-
-    /// Kernel that produced these masks (`None` before the first scan).
-    #[inline]
-    pub fn kernel(&self) -> Option<Kernel> {
-        self.kernel
-    }
-
-    /// Position of the first byte in `[from, to)` whose bit is set in the
-    /// mask selected by `f` from each block. The closure sees raw block
-    /// masks; padding bits in the final block are zero, so complemented
-    /// masks (e.g. `!ws`) are safe as long as `to <= len`.
-    #[inline]
-    pub fn first_set(
-        &self,
-        from: usize,
-        to: usize,
-        f: impl Fn(&BlockMasks) -> u64,
-    ) -> Option<usize> {
-        if from >= to {
-            return None;
-        }
-        debug_assert!(to <= self.len);
-        let mut blk = from >> 6;
-        let last = (to - 1) >> 6;
-        let mut m = f(&self.blocks[blk]) & (!0u64 << (from & 63));
-        loop {
-            if m != 0 {
-                let p = (blk << 6) | m.trailing_zeros() as usize;
-                return (p < to).then_some(p);
-            }
-            blk += 1;
-            if blk > last {
-                return None;
-            }
-            m = f(&self.blocks[blk]);
-        }
-    }
-
-    /// First non-whitespace byte at or after `from`.
-    #[inline]
-    pub fn next_non_ws(&self, from: usize) -> Option<usize> {
-        self.first_set(from, self.len, |b| !b.ws)
-    }
-
-    /// First unescaped quote at or after `from`.
-    #[inline]
-    pub fn next_quote(&self, from: usize) -> Option<usize> {
-        self.first_set(from, self.len, |b| b.quote)
-    }
-
-    /// First control byte (`< 0x20`) in `[from, to)`.
-    #[inline]
-    pub fn first_ctrl_in(&self, from: usize, to: usize) -> Option<usize> {
-        self.first_set(from, to, |b| b.ctrl)
-    }
-
-    /// Whether `[from, to)` contains a backslash.
-    #[inline]
-    pub fn range_has_backslash(&self, from: usize, to: usize) -> bool {
-        self.first_set(from, to, |b| b.backslash).is_some()
-    }
-
-    /// Whether `[from, to)` contains a byte `>= 0x80`.
-    #[inline]
-    pub fn range_has_nonascii(&self, from: usize, to: usize) -> bool {
-        self.first_set(from, to, |b| b.nonascii).is_some()
-    }
-}
-
-/// The fused stage-1 scan result the index builder iterates. Reusable
-/// across documents ([`IndexMasks::scan_into`] keeps the allocation).
-#[derive(Debug, Clone, Default)]
-pub struct IndexMasks {
-    blocks: Vec<IndexBlock>,
-    len: usize,
-}
-
-impl IndexMasks {
-    /// Scan `buf` with `kernel`, reusing this value's block storage.
-    pub fn scan_into(&mut self, buf: &[u8], kernel: Kernel) {
-        self.blocks.clear();
-        self.len = buf.len();
-        scan_index_append(buf, kernel, &mut self.blocks);
-    }
-
-    /// Length of the scanned input in bytes.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the scanned input was empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The per-block fused masks.
-    #[inline]
-    pub fn blocks(&self) -> &[IndexBlock] {
-        &self.blocks
-    }
-
-    /// Position of the first *interesting* byte (quote, backslash,
-    /// control, or non-ASCII) at or after `from`. Scanning a string body
-    /// forward from its opening quote, this single position decides the
-    /// span: a `"` here is an unescaped clean close by construction (an
-    /// escaping backslash would have been interesting first), anything
-    /// else means the string needs the scalar slow path.
-    #[inline(always)]
-    pub fn first_interesting(&self, from: usize) -> Option<usize> {
-        let mut blk = from >> 6;
-        // Padding bits past the input length are zero, so running off the
-        // end of `blocks` is the only termination condition needed.
-        let mut m = self.blocks.get(blk)?.interesting & (!0u64 << (from & 63));
-        loop {
-            if m != 0 {
-                return Some((blk << 6) | m.trailing_zeros() as usize);
-            }
-            blk += 1;
-            m = self.blocks.get(blk)?.interesting;
-        }
-    }
-
-    /// Raw `interesting` word for block `blk` (`None` past the end).
-    /// Lets a caller with monotonically advancing positions keep its own
-    /// running cursor instead of re-deriving the block on every lookup.
-    #[inline(always)]
-    pub fn interesting_word(&self, blk: usize) -> Option<u64> {
-        self.blocks.get(blk).map(|b| b.interesting)
-    }
-}
-
-/// Append the fused index profile of `buf` to `out`, dispatching on
-/// `kernel`. Any trailing partial block is zero-padded, so `buf` must
-/// either end at the true end of the document or be cut at a 64-byte
-/// boundary.
-fn scan_index_append(buf: &[u8], kernel: Kernel, out: &mut Vec<IndexBlock>) {
-    match kernel {
-        Kernel::Scalar => scan_index(buf, out, classify_ref::<false>),
-        Kernel::Swar => scan_index(buf, out, classify_swar::<false>),
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Sse2 => scan_index(buf, out, x86::classify_sse2_index),
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 => x86::with_avx2_index(|c| scan_index(buf, out, c)),
-        #[cfg(not(target_arch = "x86_64"))]
-        Kernel::Sse2 | Kernel::Avx2 => scan_index(buf, out, classify_swar::<false>),
-    }
-}
-
-/// Streaming flavor of [`IndexMasks`]: classifies the input in
-/// cache-sized chunks *on demand* instead of one up-front pass. The
-/// index builder's byte accesses trail the classifier by at most one
-/// chunk, so a fused build effectively reads the document once — the
-/// builder's loads hit bytes the classifier just pulled into cache —
-/// where an eager whole-file scan streams large documents through
-/// memory twice.
+/// Streaming stage-1 classifier: produces the `interesting` word of each
+/// block in cache-sized chunks *on demand*. The index builder's byte
+/// accesses trail the classifier by at most one chunk, so a build
+/// effectively reads the document once — the builder's loads hit bytes
+/// the classifier just pulled into cache — where an eager whole-file
+/// scan streams large documents through memory twice.
 pub struct IndexScanner<'a> {
     buf: &'a [u8],
-    kernel: Kernel,
-    blocks: &'a mut Vec<IndexBlock>,
+    words: &'a mut Vec<u64>,
     /// Bytes classified so far — a multiple of [`IndexScanner::CHUNK`]
     /// until the final chunk, then exactly `buf.len()`.
     scanned: usize,
@@ -464,239 +95,64 @@ pub struct IndexScanner<'a> {
 impl<'a> IndexScanner<'a> {
     /// Bytes classified per demand miss: small enough that the chunk is
     /// still L2-resident when the consumer reads the same bytes, large
-    /// enough to amortize the kernel dispatch. Must be a multiple of 64.
-    const CHUNK: usize = 64 * 1024;
+    /// enough to amortize the call. Must be a multiple of 64.
+    pub(crate) const CHUNK: usize = 64 * 1024;
 
-    /// New scanner over `buf`. Block words land in `blocks` (cleared
-    /// here; caller-owned so the allocation can be reused across
-    /// documents).
-    pub fn new(buf: &'a [u8], kernel: Kernel, blocks: &'a mut Vec<IndexBlock>) -> Self {
-        blocks.clear();
+    /// New scanner over `buf`. Block words land in `words` (cleared here;
+    /// caller-owned so the allocation can be reused across documents).
+    pub fn new(buf: &'a [u8], words: &'a mut Vec<u64>) -> Self {
+        words.clear();
         IndexScanner {
             buf,
-            kernel,
-            blocks,
+            words,
             scanned: 0,
         }
     }
 
-    /// Raw `interesting` word for block `blk` (`None` past the end of
-    /// the input), classifying further chunks as needed.
+    /// The `interesting` word for block `blk` (`None` past the end of
+    /// the input), classifying further chunks as needed. Bits past the
+    /// end of the input in the final block are zero.
     #[inline(always)]
     pub fn word(&mut self, blk: usize) -> Option<u64> {
-        while blk >= self.blocks.len() {
+        while blk >= self.words.len() {
             if self.scanned >= self.buf.len() {
                 return None;
             }
             self.extend();
         }
-        Some(self.blocks[blk].interesting)
+        Some(self.words[blk])
     }
 
     #[cold]
     fn extend(&mut self) {
         let end = usize::min(self.scanned + Self::CHUNK, self.buf.len());
-        scan_index_append(&self.buf[self.scanned..end], self.kernel, self.blocks);
+        classify_append(&self.buf[self.scanned..end], self.words);
         self.scanned = end;
     }
 }
 
-/// Drive `classify` over whole blocks plus one zero-padded tail block,
-/// threading the escape and in-string carries and producing the full
-/// mask profile.
-#[inline(always)]
-fn scan_full(
-    buf: &[u8],
-    out: &mut Vec<BlockMasks>,
-    mut classify: impl FnMut(&[u8; 64]) -> RawBlock,
-) {
-    let mut carry = Carries::default();
-    let mut chunks = buf.chunks_exact(64);
-    for chunk in &mut chunks {
-        let block: &[u8; 64] = chunk.try_into().expect("exact 64-byte chunk");
-        let raw = classify(block);
-        out.push(derive_full(raw, &mut carry));
+/// Append the `interesting` word of every 64-byte block of `buf` to
+/// `out`. A trailing partial block is zero-padded, so `buf` must either
+/// end at the true end of the document or be cut at a 64-byte boundary.
+///
+/// A free function rather than a loop inside `IndexScanner::extend`:
+/// with `out` a direct `&mut` parameter the compiler can keep the vector
+/// header in registers, while pushing through `self.words` measured
+/// markedly slower on the index build.
+fn classify_append(buf: &[u8], out: &mut Vec<u64>) {
+    let mut blocks = buf.chunks_exact(64);
+    for block in &mut blocks {
+        out.push(interesting(block.try_into().expect("exact 64-byte chunk")));
     }
-    let rem = chunks.remainder();
+    let rem = blocks.remainder();
     if !rem.is_empty() {
+        // Clear the padding bits: NUL is a control byte, so they would
+        // be set.
         let mut tail = [0u8; 64];
         tail[..rem.len()].copy_from_slice(rem);
-        let mut raw = classify(&tail);
-        raw.truncate(rem.len());
-        out.push(derive_full(raw, &mut carry));
+        out.push(interesting(&tail) & ((1u64 << rem.len()) - 1));
     }
 }
-
-/// [`scan_full`]'s twin for the fused index profile — no escape carry,
-/// no `in_string` derivation: the raw classifications *are* the result.
-#[inline(always)]
-fn scan_index(
-    buf: &[u8],
-    out: &mut Vec<IndexBlock>,
-    mut classify: impl FnMut(&[u8; 64]) -> RawBlock,
-) {
-    let mut chunks = buf.chunks_exact(64);
-    for chunk in &mut chunks {
-        let block: &[u8; 64] = chunk.try_into().expect("exact 64-byte chunk");
-        let raw = classify(block);
-        out.push(IndexBlock {
-            interesting: raw.interesting,
-        });
-    }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut tail = [0u8; 64];
-        tail[..rem.len()].copy_from_slice(rem);
-        let mut raw = classify(&tail);
-        raw.truncate(rem.len());
-        out.push(IndexBlock {
-            interesting: raw.interesting,
-        });
-    }
-}
-
-/// Cross-block state for the full profile.
-#[derive(Default)]
-struct Carries {
-    prev_escaped: u64,
-    in_string: u64,
-}
-
-/// Escape/string post-processing for the full profile. Shared by every
-/// kernel so the carry logic cannot diverge.
-#[inline(always)]
-fn derive_full(raw: RawBlock, carry: &mut Carries) -> BlockMasks {
-    let escaped = find_escaped(raw.backslash, &mut carry.prev_escaped);
-    let quote = raw.quote & !escaped;
-    let in_string = prefix_xor(quote) ^ carry.in_string;
-    // Sign-extend bit 63: all-ones when the block ends inside a string.
-    carry.in_string = ((in_string as i64) >> 63) as u64;
-    BlockMasks {
-        backslash: raw.backslash,
-        quote,
-        in_string,
-        ws: raw.ws,
-        op: raw.op,
-        ctrl: raw.ctrl,
-        nonascii: raw.nonascii,
-    }
-}
-
-/// Which characters are escaped by a backslash, with the classic
-/// odd/even backslash-run carry (simdjson's `find_escaped`): a character
-/// is escaped iff it is preceded by an odd-length run of backslashes.
-/// `prev_escaped` carries "first byte of the next block is escaped".
-#[inline(always)]
-fn find_escaped(backslash: u64, prev_escaped: &mut u64) -> u64 {
-    const EVEN: u64 = 0x5555_5555_5555_5555;
-    if backslash == 0 {
-        let escaped = *prev_escaped;
-        *prev_escaped = 0;
-        return escaped;
-    }
-    // A backslash that is itself escaped starts nothing.
-    let backslash = backslash & !*prev_escaped;
-    let follows_escape = (backslash << 1) | *prev_escaped;
-    let odd_sequence_starts = backslash & !EVEN & !follows_escape;
-    let (sequences_starting_on_even_bits, carry) = odd_sequence_starts.overflowing_add(backslash);
-    *prev_escaped = carry as u64;
-    let invert_mask = sequences_starting_on_even_bits << 1;
-    (EVEN ^ invert_mask) & follows_escape
-}
-
-/// Running XOR from bit 0: output bit `i` = XOR of input bits `0..=i`.
-/// Applied to the quote mask this flags "inside a string" (open quote
-/// included, close quote excluded). Shift-based so it stays portable (no
-/// carry-less multiply needed).
-#[inline(always)]
-fn prefix_xor(m: u64) -> u64 {
-    let mut x = m;
-    x ^= x << 1;
-    x ^= x << 2;
-    x ^= x << 4;
-    x ^= x << 8;
-    x ^= x << 16;
-    x ^= x << 32;
-    x
-}
-
-// ---------------------------------------------------------------------------
-// Scalar reference kernel
-// ---------------------------------------------------------------------------
-
-/// Per-byte reference classifier: the ground truth the vector kernels are
-/// differentially tested against.
-fn classify_ref<const FULL: bool>(block: &[u8; 64]) -> RawBlock {
-    let mut r = RawBlock::default();
-    for (i, &b) in block.iter().enumerate() {
-        let bit = 1u64 << i;
-        if FULL {
-            match b {
-                b'\\' => r.backslash |= bit,
-                b'"' => r.quote |= bit,
-                b' ' | b'\t' | b'\n' | b'\r' => r.ws |= bit,
-                b'{' | b'}' | b'[' | b']' | b':' | b',' => r.op |= bit,
-                _ => {}
-            }
-            if b < 0x20 {
-                r.ctrl |= bit;
-            }
-            if b >= 0x80 {
-                r.nonascii |= bit;
-            }
-        } else if matches!(b, b'"' | b'\\') || !(0x20..0x80).contains(&b) {
-            r.interesting |= bit;
-        }
-    }
-    r
-}
-
-/// Fully independent per-byte mask construction (its own escape/string
-/// state machine, no bit tricks) — used by tests to validate the carry
-/// logic itself, not just the kernels.
-pub fn reference_masks(buf: &[u8]) -> Stage1Masks {
-    let nblocks = buf.len().div_ceil(64);
-    let mut blocks = vec![BlockMasks::default(); nblocks];
-    let mut escaped = false;
-    let mut in_string = false;
-    for (i, &b) in buf.iter().enumerate() {
-        let (blk, bit) = (i >> 6, 1u64 << (i & 63));
-        let m = &mut blocks[blk];
-        if b == b'\\' {
-            m.backslash |= bit;
-        }
-        if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-            m.ws |= bit;
-        }
-        if matches!(b, b'{' | b'}' | b'[' | b']' | b':' | b',') {
-            m.op |= bit;
-        }
-        if b < 0x20 {
-            m.ctrl |= bit;
-        }
-        if b >= 0x80 {
-            m.nonascii |= bit;
-        }
-        if b == b'"' && !escaped {
-            m.quote |= bit;
-            in_string = !in_string;
-        }
-        if in_string {
-            // Open quote and interior bytes; close quote flipped off above.
-            m.in_string |= bit;
-        }
-        escaped = !escaped && b == b'\\';
-    }
-    Stage1Masks {
-        blocks,
-        len: buf.len(),
-        kernel: Some(Kernel::Scalar),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// SWAR kernel (portable u64)
-// ---------------------------------------------------------------------------
 
 const LO: u64 = 0x0101_0101_0101_0101;
 const HI: u64 = 0x8080_8080_8080_8080;
@@ -711,7 +167,7 @@ const fn splat(b: u8) -> u64 {
 /// iff the corresponding lane of `x` is nonzero, where `x7` must be
 /// `x & K7F`. `(x7 + 0x7F)` cannot carry across lanes, so this is
 /// per-lane exact; non-MSB bits of the result are garbage and must be
-/// masked with [`HI`] by the caller (deferred so OR/AND combinations of
+/// masked with [`HI`] by the caller (deferred so AND combinations of
 /// several markers pay it once).
 #[inline(always)]
 fn nonzero_lanes(x: u64, x7: u64) -> u64 {
@@ -719,7 +175,7 @@ fn nonzero_lanes(x: u64, x7: u64) -> u64 {
 }
 
 /// Nonzero-lane marker for `w ^ splat(B)` — i.e. lane != `B` — valid for
-/// `B < 0x80` (all JSON classification targets), where `w7 = w & K7F`.
+/// `B < 0x80`, where `w7 = w & K7F`.
 #[inline(always)]
 fn ne_lanes<const B: u8>(w: u64, w7: u64) -> u64 {
     nonzero_lanes(w ^ splat(B), w7 ^ splat(B))
@@ -733,51 +189,23 @@ fn movemask_lanes(marks: u64) -> u64 {
     marks.wrapping_mul(0x0002_0408_1020_4081) >> 56
 }
 
-/// Portable SWAR classifier: eight u64 lanes-of-bytes per block.
-fn classify_swar<const FULL: bool>(block: &[u8; 64]) -> RawBlock {
+/// The `interesting` word of one block: eight SWAR words of eight lanes.
+#[inline(always)]
+fn interesting(block: &[u8; 64]) -> u64 {
     // Lane < 0x20 iff its top three bits are zero.
     const KE0: u64 = 0xE0E0_E0E0_E0E0_E0E0;
     const K60: u64 = 0x6060_6060_6060_6060;
-    let mut r = RawBlock::default();
+    let mut out = 0u64;
     for (i, word) in block.chunks_exact(8).enumerate() {
         let w = u64::from_le_bytes(word.try_into().expect("8-byte word"));
-        let shift = i * 8;
         let w7 = w & K7F;
-        // Nonzero marker for the ctrl test (lane >= 0x20 iff any of the
-        // top three bits set); inverted it flags ctrl lanes.
+        // Lane >= 0x20 iff any of its top three bits is set.
         let not_ctrl = nonzero_lanes(w & KE0, w & K60);
-        if FULL {
-            // `x | 0x04` folds tab (0x09) and CR (0x0D) onto 0x0D and
-            // nothing else onto it, so whitespace needs three tests.
-            let w4 = w | splat(0x04);
-            let w47 = w7 | splat(0x04);
-            let not_ws =
-                ne_lanes::<b' '>(w, w7) & ne_lanes::<b'\n'>(w, w7) & ne_lanes::<b'\r'>(w4, w47);
-            r.ws |= movemask_lanes(!not_ws & HI) << shift;
-            r.backslash |= movemask_lanes(!ne_lanes::<b'\\'>(w, w7) & HI) << shift;
-            r.quote |= movemask_lanes(!ne_lanes::<b'"'>(w, w7) & HI) << shift;
-            let ctrl = !not_ctrl & HI;
-            // `x | 0x20` folds `[`→`{` and `]`→`}`; it also folds the
-            // control bytes 0x1A→`:` and 0x0C→`,`, which the `& !ctrl`
-            // removes (`:`/`,`/brackets already have bit 5 set, so real
-            // structural bytes are unaffected by the fold).
-            let folded = w | splat(0x20);
-            let folded7 = w7 | splat(0x20);
-            let not_op = nonzero_lanes(folded ^ splat(b'{'), folded7 ^ splat(b'{'))
-                & nonzero_lanes(folded ^ splat(b'}'), folded7 ^ splat(b'}'))
-                & nonzero_lanes(folded ^ splat(b':'), folded7 ^ splat(b':'))
-                & nonzero_lanes(folded ^ splat(b','), folded7 ^ splat(b','));
-            r.op |= movemask_lanes(!not_op & HI & !ctrl) << shift;
-            r.ctrl |= movemask_lanes(ctrl) << shift;
-            r.nonascii |= movemask_lanes(w & HI) << shift;
-        } else {
-            // Fused profile: quote | backslash | ctrl | non-ASCII in one
-            // extraction.
-            let not_qbc = ne_lanes::<b'"'>(w, w7) & ne_lanes::<b'\\'>(w, w7) & not_ctrl;
-            r.interesting |= movemask_lanes((!not_qbc | w) & HI) << shift;
-        }
+        let not_qbc = ne_lanes::<b'"'>(w, w7) & ne_lanes::<b'\\'>(w, w7) & not_ctrl;
+        // `| w` contributes the lane sign bits: non-ASCII.
+        out |= movemask_lanes((!not_qbc | w) & HI) << (i * 8);
     }
-    r
+    out
 }
 
 /// End of the ASCII-digit run starting at `i` — the shared number fast
@@ -806,221 +234,45 @@ pub(crate) fn digit_run_end(b: &[u8], mut i: usize) -> usize {
     i
 }
 
-// ---------------------------------------------------------------------------
-// x86_64 SSE2 / AVX2 kernels
-// ---------------------------------------------------------------------------
-
-/// All `core::arch` intrinsics live here; `unsafe` does not escape this
-/// module.
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    use super::RawBlock;
-    use core::arch::x86_64::*;
-
-    /// Full-profile SSE2 classifier. SSE2 is unconditionally available on
-    /// x86_64 (baseline feature), so this is a safe function.
-    pub(super) fn classify_sse2_full(block: &[u8; 64]) -> RawBlock {
-        classify_sse2::<true>(block)
-    }
-
-    /// Index-profile SSE2 classifier.
-    pub(super) fn classify_sse2_index(block: &[u8; 64]) -> RawBlock {
-        classify_sse2::<false>(block)
-    }
-
-    /// Run `scan` with the AVX2 full-profile classifier after verifying
-    /// CPU support, so a forced `Kernel::Avx2` can never execute illegal
-    /// instructions.
-    pub(super) fn with_avx2<R>(scan: impl FnOnce(fn(&[u8; 64]) -> RawBlock) -> R) -> R {
-        assert!(
-            std::arch::is_x86_feature_detected!("avx2"),
-            "Kernel::Avx2 selected without AVX2 support"
-        );
-        scan(classify_avx2_full)
-    }
-
-    /// [`with_avx2`] for the index profile.
-    pub(super) fn with_avx2_index<R>(scan: impl FnOnce(fn(&[u8; 64]) -> RawBlock) -> R) -> R {
-        assert!(
-            std::arch::is_x86_feature_detected!("avx2"),
-            "Kernel::Avx2 selected without AVX2 support"
-        );
-        scan(classify_avx2_index)
-    }
-
-    fn classify_avx2_full(block: &[u8; 64]) -> RawBlock {
-        // SAFETY: only reachable through `with_avx2`, which asserts AVX2
-        // support before handing this function to the scan driver.
-        unsafe { classify_avx2::<true>(block) }
-    }
-
-    fn classify_avx2_index(block: &[u8; 64]) -> RawBlock {
-        // SAFETY: as above, via `with_avx2_index`.
-        unsafe { classify_avx2::<false>(block) }
-    }
-
-    /// Classify one block with four 16-byte SSE2 vectors.
-    fn classify_sse2<const FULL: bool>(block: &[u8; 64]) -> RawBlock {
-        let mut r = RawBlock::default();
-        for i in 0..4 {
-            // SAFETY: `block` is 64 bytes, so `block[i*16..i*16+16]` is in
-            // bounds for i in 0..4; `_mm_loadu_si128` has no alignment
-            // requirement. SSE2 is part of the x86_64 baseline.
-            unsafe {
-                let v = _mm_loadu_si128(block.as_ptr().add(i * 16) as *const __m128i);
-                let shift = i * 16;
-                let mm = |x| (_mm_movemask_epi8(x) as u32 as u64) << shift;
-                let quote = _mm_cmpeq_epi8(v, _mm_set1_epi8(b'"' as i8));
-                let backslash = _mm_cmpeq_epi8(v, _mm_set1_epi8(b'\\' as i8));
-                // Unsigned `v <= 0x1F` via saturating subtract (a signed
-                // compare would false-positive on bytes >= 0x80).
-                let ctrl =
-                    _mm_cmpeq_epi8(_mm_subs_epu8(v, _mm_set1_epi8(0x1F)), _mm_setzero_si128());
-                if FULL {
-                    let ws = _mm_or_si128(
-                        _mm_or_si128(
-                            _mm_cmpeq_epi8(v, _mm_set1_epi8(b' ' as i8)),
-                            _mm_cmpeq_epi8(v, _mm_set1_epi8(b'\t' as i8)),
-                        ),
-                        _mm_or_si128(
-                            _mm_cmpeq_epi8(v, _mm_set1_epi8(b'\n' as i8)),
-                            _mm_cmpeq_epi8(v, _mm_set1_epi8(b'\r' as i8)),
-                        ),
-                    );
-                    r.ws |= mm(ws);
-                    r.backslash |= mm(backslash);
-                    r.quote |= mm(quote);
-                    // Same `| 0x20` bracket/ctrl-folding trick as the SWAR
-                    // kernel; ctrl aliases removed below.
-                    let folded = _mm_or_si128(v, _mm_set1_epi8(0x20));
-                    let op = _mm_or_si128(
-                        _mm_or_si128(
-                            _mm_cmpeq_epi8(folded, _mm_set1_epi8(b'{' as i8)),
-                            _mm_cmpeq_epi8(folded, _mm_set1_epi8(b'}' as i8)),
-                        ),
-                        _mm_or_si128(
-                            _mm_cmpeq_epi8(folded, _mm_set1_epi8(b':' as i8)),
-                            _mm_cmpeq_epi8(folded, _mm_set1_epi8(b',' as i8)),
-                        ),
-                    );
-                    r.op |= mm(_mm_andnot_si128(ctrl, op));
-                    r.ctrl |= mm(ctrl);
-                    // movemask reads the sign bit directly: bytes >= 0x80.
-                    r.nonascii |= mm(v);
-                } else {
-                    // quote|backslash|ctrl|nonascii in one extraction (the
-                    // `v` term contributes the sign bits, i.e. non-ASCII).
-                    let qbc = _mm_or_si128(_mm_or_si128(quote, backslash), ctrl);
-                    r.interesting |= mm(_mm_or_si128(qbc, v));
-                }
-            }
-        }
-        r
-    }
-
-    /// Classify one block with two 32-byte AVX2 vectors.
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2.
-    #[target_feature(enable = "avx2")]
-    unsafe fn classify_avx2<const FULL: bool>(block: &[u8; 64]) -> RawBlock {
-        let mut r = RawBlock::default();
-        for i in 0..2 {
-            // SAFETY (pointer): `block` is 64 bytes, so the two 32-byte
-            // loads are in bounds; `_mm256_loadu_si256` is unaligned.
-            let v = _mm256_loadu_si256(block.as_ptr().add(i * 32) as *const __m256i);
-            let shift = i * 32;
-            let mm = |x| (_mm256_movemask_epi8(x) as u32 as u64) << shift;
-            let quote = _mm256_cmpeq_epi8(v, _mm256_set1_epi8(b'"' as i8));
-            let backslash = _mm256_cmpeq_epi8(v, _mm256_set1_epi8(b'\\' as i8));
-            let ctrl = _mm256_cmpeq_epi8(
-                _mm256_subs_epu8(v, _mm256_set1_epi8(0x1F)),
-                _mm256_setzero_si256(),
-            );
-            if FULL {
-                let ws = _mm256_or_si256(
-                    _mm256_or_si256(
-                        _mm256_cmpeq_epi8(v, _mm256_set1_epi8(b' ' as i8)),
-                        _mm256_cmpeq_epi8(v, _mm256_set1_epi8(b'\t' as i8)),
-                    ),
-                    _mm256_or_si256(
-                        _mm256_cmpeq_epi8(v, _mm256_set1_epi8(b'\n' as i8)),
-                        _mm256_cmpeq_epi8(v, _mm256_set1_epi8(b'\r' as i8)),
-                    ),
-                );
-                r.ws |= mm(ws);
-                r.backslash |= mm(backslash);
-                r.quote |= mm(quote);
-                let folded = _mm256_or_si256(v, _mm256_set1_epi8(0x20));
-                let op = _mm256_or_si256(
-                    _mm256_or_si256(
-                        _mm256_cmpeq_epi8(folded, _mm256_set1_epi8(b'{' as i8)),
-                        _mm256_cmpeq_epi8(folded, _mm256_set1_epi8(b'}' as i8)),
-                    ),
-                    _mm256_or_si256(
-                        _mm256_cmpeq_epi8(folded, _mm256_set1_epi8(b':' as i8)),
-                        _mm256_cmpeq_epi8(folded, _mm256_set1_epi8(b',' as i8)),
-                    ),
-                );
-                r.op |= mm(_mm256_andnot_si256(ctrl, op));
-                r.ctrl |= mm(ctrl);
-                r.nonascii |= mm(v);
-            } else {
-                let qbc = _mm256_or_si256(_mm256_or_si256(quote, backslash), ctrl);
-                r.interesting |= mm(_mm256_or_si256(qbc, v));
-            }
-        }
-        r
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::{StructuralIndex, TapeKind};
 
-    fn assert_masks_eq(buf: &[u8], a: &Stage1Masks, b: &Stage1Masks, what: &str) {
-        assert_eq!(a.len(), b.len(), "{what}: length mismatch");
-        assert_eq!(a.blocks().len(), b.blocks().len(), "{what}: block count");
-        for (i, (x, y)) in a.blocks().iter().zip(b.blocks()).enumerate() {
-            assert_eq!(
-                x,
-                y,
-                "{what}: block {i} differs on input {:?}",
-                String::from_utf8_lossy(buf)
-            );
-        }
+    /// The `(kind, start, end)` of the single-entry tape `doc` builds to.
+    fn only_entry(doc: &[u8]) -> (TapeKind, u32, u32) {
+        let index = StructuralIndex::build_with(doc, Stage1Mode::Swar).unwrap();
+        assert_eq!(index.len(), 1);
+        let e = index.tape()[0];
+        (e.kind, e.start, e.end)
     }
 
-    /// Every kernel against the independent per-byte reference, plus the
-    /// fused index profile against the full profile.
-    fn check_all_kernels(buf: &[u8]) {
-        let reference = reference_masks(buf);
-        for k in available_kernels() {
-            let got = Stage1Masks::scan(buf, k);
-            assert_masks_eq(buf, &reference, &got, k.label());
-            let mut idx = IndexMasks::default();
-            idx.scan_into(buf, k);
-            assert_eq!(idx.len(), got.len());
-            // Pin the fused profile to its per-byte definition (note: the
-            // full profile's quote mask is escape-filtered; `interesting`
-            // wants raw quotes, so recompute from bytes).
-            for (i, g) in idx.blocks().iter().enumerate() {
-                let mut interesting = 0u64;
-                for (j, &b) in buf[i * 64..].iter().take(64).enumerate() {
-                    if matches!(b, b'"' | b'\\') || !(0x20..0x80).contains(&b) {
-                        interesting |= 1u64 << j;
-                    }
-                }
-                assert_eq!(
-                    g.interesting,
-                    interesting,
-                    "{}: idx interesting {i}",
-                    k.label()
-                );
+    /// Every block word the scanner produces for `buf`.
+    fn words(buf: &[u8]) -> Vec<u64> {
+        let mut storage = Vec::new();
+        let mut scanner = IndexScanner::new(buf, &mut storage);
+        (0..).map_while(|blk| scanner.word(blk)).collect()
+    }
+
+    /// The per-byte definition of the `interesting` words.
+    fn reference_words(buf: &[u8]) -> Vec<u64> {
+        let mut out = vec![0u64; buf.len().div_ceil(64)];
+        for (i, &b) in buf.iter().enumerate() {
+            if matches!(b, b'"' | b'\\') || !(0x20..0x80).contains(&b) {
+                out[i >> 6] |= 1u64 << (i & 63);
             }
         }
+        out
     }
 
+    /// Position of the first interesting byte at or after `from`.
+    fn first_interesting(buf: &[u8], from: usize) -> Option<usize> {
+        let w = words(buf);
+        (from..buf.len()).find(|&p| w[p >> 6] >> (p & 63) & 1 == 1)
+    }
+
+    /// The SWAR words equal the per-byte definition on hand-picked edge
+    /// cases (the proptest in `tests/prop_stage1.rs` covers random bytes).
     #[test]
     fn kernels_agree_on_edge_corpus() {
         let mut corpus: Vec<Vec<u8>> = vec![
@@ -1053,104 +305,60 @@ mod tests {
             corpus.push(v);
         }
         for doc in &corpus {
-            check_all_kernels(doc);
+            assert_eq!(
+                words(doc),
+                reference_words(doc),
+                "input {:?}",
+                String::from_utf8_lossy(doc)
+            );
         }
-    }
-
-    #[test]
-    fn in_string_covers_open_and_interior() {
-        let m = Stage1Masks::scan(br#""ab""#, Kernel::Swar);
-        let b = &m.blocks()[0];
-        assert_eq!(b.quote, 0b1001);
-        assert_eq!(b.in_string, 0b0111);
     }
 
     #[test]
     fn escaped_quote_is_not_structural() {
-        // "a\"b" — the inner quote is escaped.
-        let m = Stage1Masks::scan(br#""a\"b""#, Kernel::Swar);
-        let b = &m.blocks()[0];
-        assert_eq!(b.quote, 0b100001, "only the outer quotes");
-        assert_eq!(b.backslash, 0b000100);
-    }
-
-    #[test]
-    fn op_mask_excludes_folded_control_bytes() {
-        // 0x1A folds to ':' and 0x0C folds to ',' under `| 0x20`; both
-        // must stay out of `op` (they are ctrl).
-        let doc = [b'{', 0x1A, b':', 0x0C, b',', b'}'];
-        for k in available_kernels() {
-            let m = Stage1Masks::scan(&doc, k);
-            let b = &m.blocks()[0];
-            assert_eq!(b.op, 0b110101, "{}", k.label());
-            assert_eq!(b.ctrl, 0b001010, "{}", k.label());
-        }
+        // "a\"b" — the backslash is interesting before the escaped quote,
+        // so the builder hands the span to the scalar string scan.
+        let doc = br#""a\"b""#;
+        assert_eq!(words(doc), vec![0b101101]);
+        assert_eq!(first_interesting(doc, 1), Some(2));
+        assert_eq!(only_entry(doc), (TapeKind::String, 0, 6));
     }
 
     #[test]
     fn escape_carry_crosses_block_boundary() {
-        // 63 bytes, then a backslash as the last byte of block 0 escaping
-        // the quote that opens block 1.
+        // A backslash as the last byte of block 0 escaping the quote that
+        // opens block 1: the backslash alone decides the span, so no
+        // escape state has to cross the boundary.
         let mut doc = vec![b' '; 62];
         doc.push(b'"');
         doc.push(b'\\'); // byte 63: last of block 0
         doc.push(b'"'); // byte 64: escaped — not a close
         doc.push(b'x');
         doc.push(b'"'); // byte 66: the real close
-        check_all_kernels(&doc);
-        let m = Stage1Masks::scan(&doc, Kernel::Swar);
-        assert_eq!(m.blocks()[1].quote, 0b100, "escaped quote suppressed");
-        assert_eq!(m.next_quote(63), Some(66));
+        assert_eq!(words(&doc), vec![0b11 << 62, 0b101]);
+        assert_eq!(first_interesting(&doc, 63), Some(63));
+        assert_eq!(only_entry(&doc), (TapeKind::String, 62, 67));
     }
 
     #[test]
     fn tail_block_padding_is_zero() {
         let doc = vec![b'\0'; 70]; // NULs are ctrl — would leak into padding
-        for k in available_kernels() {
-            let m = Stage1Masks::scan(&doc, k);
-            let valid = (1u64 << (70 - 64)) - 1;
-            let last = m.blocks().last().unwrap();
-            for mask in [
-                last.backslash,
-                last.quote,
-                last.in_string,
-                last.ws,
-                last.op,
-                last.ctrl,
-                last.nonascii,
-            ] {
-                assert_eq!(mask & !valid, 0, "{}: padding bits set", k.label());
-            }
-        }
-    }
-
-    #[test]
-    fn first_set_respects_bounds() {
-        let doc = [vec![b' '; 64], b"x".to_vec()].concat();
-        let m = Stage1Masks::scan(&doc, Kernel::Swar);
-        assert_eq!(m.next_non_ws(0), Some(64));
-        assert_eq!(m.next_non_ws(65), None);
-        assert_eq!(m.first_set(0, 64, |b| !b.ws), None);
-        assert_eq!(m.first_set(10, 10, |b| !b.ws), None);
+        assert_eq!(words(&doc), vec![!0u64, (1u64 << (70 - 64)) - 1]);
     }
 
     #[test]
     fn first_interesting_drives_string_spans() {
         let doc = br#""clean" "di\rty" "unterminated"#;
-        let mut m = IndexMasks::default();
-        m.scan_into(doc, Kernel::Swar);
         // Clean string: first interesting byte after the open is the close.
-        assert_eq!(m.first_interesting(1), Some(6));
+        assert_eq!(first_interesting(doc, 1), Some(6));
         assert_eq!(doc[6], b'"');
         // Escaped string: the backslash shows up before any quote.
-        assert_eq!(m.first_interesting(9), Some(11));
+        assert_eq!(first_interesting(doc, 9), Some(11));
         assert_eq!(doc[11], b'\\');
         // Unterminated: nothing interesting to the end.
-        assert_eq!(m.first_interesting(18), None);
+        assert_eq!(first_interesting(doc, 18), None);
         // Interesting bytes *after* a close don't affect earlier spans.
-        let mut m = IndexMasks::default();
-        m.scan_into(br#""ok"\"#, Kernel::Swar);
-        assert_eq!(m.first_interesting(1), Some(3));
+        assert_eq!(first_interesting(br#""ok"\"#, 1), Some(3));
     }
 
     #[test]
@@ -1187,20 +395,13 @@ mod tests {
     fn mode_parsing_and_resolution() {
         assert_eq!(Stage1Mode::parse("swar"), Some(Stage1Mode::Swar));
         assert_eq!(Stage1Mode::parse(" SCALAR "), Some(Stage1Mode::Scalar));
-        assert_eq!(Stage1Mode::parse("avx512"), None);
-        assert_eq!(Stage1Mode::Scalar.resolve(), Kernel::Scalar);
-        assert_eq!(Stage1Mode::Swar.resolve(), Kernel::Swar);
-        // Forced vector modes must resolve to something runnable.
-        for m in [
-            Stage1Mode::Auto,
-            Stage1Mode::Simd,
-            Stage1Mode::Sse2,
-            Stage1Mode::Avx2,
-        ] {
-            let k = m.resolve();
-            assert_ne!(k, Kernel::Scalar, "{m:?} resolved to scalar");
-            Stage1Masks::scan(br#"{"a":1}"#, k); // must not crash
+        // Unknown values are rejected; `from_env` then falls back to the
+        // default.
+        for s in ["auto", "simd", "avx512", ""] {
+            assert_eq!(Stage1Mode::parse(s), None, "{s}");
         }
-        assert!(available_kernels().contains(&Kernel::Swar));
+        assert_eq!(Stage1Mode::default(), Stage1Mode::Swar);
+        assert_eq!(Stage1Mode::Swar.label(), "swar");
+        assert_eq!(Stage1Mode::Scalar.label(), "scalar");
     }
 }

@@ -73,9 +73,9 @@ pub struct ScanOptions {
     /// Files smaller than this never split, and splits are never smaller
     /// than this (bounds per-split overhead).
     pub min_split_bytes: u64,
-    /// Stage-1 kernel selection for structural-index builds (the default
-    /// honours the `VXQ_STAGE1` environment variable, falling back to
-    /// auto-detection).
+    /// Stage-1 mode for structural-index builds: SWAR or the scalar
+    /// per-byte scan (the default honours the `VXQ_STAGE1` environment
+    /// variable, falling back to SWAR).
     pub stage1: Stage1Mode,
 }
 
@@ -347,7 +347,7 @@ impl ScanSource for ProjectedScan {
             let (records, bytes);
             // Index-build attribution for the split profile: bytes run
             // through the structural-index build by this task, and the
-            // stage-1 kernel that produced the index it navigated.
+            // stage-1 mode that produced the index it navigated.
             let mut index_bytes = 0u64;
             let mut index_elapsed = Duration::ZERO;
             let mut kernel = None;
