@@ -26,6 +26,7 @@ use crate::datetime::DateTime;
 use crate::error::{JdmError, Result};
 use crate::item::Item;
 use crate::number::Number;
+use crate::parse::MAX_DEPTH;
 
 /// Type tags. Public so the dataflow layer can switch on them cheaply.
 pub mod tag {
@@ -57,18 +58,10 @@ pub fn write_item(item: &Item, out: &mut Vec<u8>) {
         Item::Null => out.push(tag::NULL),
         Item::Boolean(false) => out.push(tag::FALSE),
         Item::Boolean(true) => out.push(tag::TRUE),
-        Item::Number(Number::Int(i)) => {
-            out.push(tag::INT);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Item::Number(Number::Double(d)) => {
-            out.push(tag::DOUBLE);
-            out.extend_from_slice(&d.to_le_bytes());
-        }
+        Item::Number(n) => write_number(*n, out),
         Item::String(s) => {
             out.push(tag::STRING);
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
+            write_len_prefixed(s.as_bytes(), out);
         }
         Item::DateTime(d) => {
             out.push(tag::DATETIME);
@@ -78,60 +71,101 @@ pub fn write_item(item: &Item, out: &mut Vec<u8>) {
         Item::Array(members) => write_listlike(tag::ARRAY, members, out),
         Item::Sequence(members) => write_listlike(tag::SEQUENCE, members, out),
         Item::Object(pairs) => {
-            out.push(tag::OBJECT);
-            let payload_pos = out.len();
-            out.extend_from_slice(&0u32.to_le_bytes()); // payload_len patch
-            out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
-            let table_pos = out.len();
-            out.resize(out.len() + 4 * pairs.len(), 0);
-            let data_start = out.len();
-            for (i, (k, v)) in pairs.iter().enumerate() {
-                let off = (out.len() - data_start) as u32;
-                out[table_pos + 4 * i..table_pos + 4 * (i + 1)].copy_from_slice(&off.to_le_bytes());
-                out.extend_from_slice(&(k.len() as u32).to_le_bytes());
-                out.extend_from_slice(k.as_bytes());
+            let mut c = ContainerWriter::begin(tag::OBJECT, pairs.len(), out);
+            for (k, v) in pairs {
+                c.member(out);
+                write_len_prefixed(k.as_bytes(), out);
                 write_item(v, out);
             }
-            let payload_len = (out.len() - payload_pos - 4) as u32;
-            out[payload_pos..payload_pos + 4].copy_from_slice(&payload_len.to_le_bytes());
+            c.finish(out);
         }
     }
 }
 
 fn write_listlike(t: u8, members: &[Item], out: &mut Vec<u8>) {
-    out.push(t);
-    let payload_pos = out.len();
-    out.extend_from_slice(&0u32.to_le_bytes());
-    out.extend_from_slice(&(members.len() as u32).to_le_bytes());
-    let table_pos = out.len();
-    out.resize(out.len() + 4 * members.len(), 0);
-    let data_start = out.len();
-    for (i, m) in members.iter().enumerate() {
-        let off = (out.len() - data_start) as u32;
-        out[table_pos + 4 * i..table_pos + 4 * (i + 1)].copy_from_slice(&off.to_le_bytes());
+    let mut c = ContainerWriter::begin(t, members.len(), out);
+    for m in members {
+        c.member(out);
         write_item(m, out);
     }
-    let payload_len = (out.len() - payload_pos - 4) as u32;
-    out[payload_pos..payload_pos + 4].copy_from_slice(&payload_len.to_le_bytes());
+    c.finish(out);
+}
+
+/// Write a number item (tag and payload).
+pub(crate) fn write_number(n: Number, out: &mut Vec<u8>) {
+    match n {
+        Number::Int(i) => {
+            out.push(tag::INT);
+            out.extend_from_slice(&i.to_le_bytes());
+        }
+        Number::Double(d) => {
+            out.push(tag::DOUBLE);
+            out.extend_from_slice(&d.to_le_bytes());
+        }
+    }
+}
+
+/// Write a `u32` length followed by `bytes`: a string payload or an
+/// object key.
+#[inline]
+pub(crate) fn write_len_prefixed(bytes: &[u8], out: &mut Vec<u8>) {
+    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+    out.extend_from_slice(bytes);
+}
+
+/// An array, object or sequence being written: its member count is
+/// fixed up front, each member's offset is recorded as it starts, and the
+/// payload length is patched at the end. The one place the container
+/// layout is produced (the tree encoder and the tape encoder in
+/// [`crate::index`] share it).
+pub(crate) struct ContainerWriter {
+    payload_pos: usize,
+    table_pos: usize,
+    data_start: usize,
+}
+
+impl ContainerWriter {
+    /// Write the tag, a length placeholder, `count` and a zeroed offset
+    /// table.
+    pub(crate) fn begin(t: u8, count: usize, out: &mut Vec<u8>) -> Self {
+        out.push(t);
+        let payload_pos = out.len();
+        out.extend_from_slice(&0u32.to_le_bytes()); // payload_len patch
+        out.extend_from_slice(&(count as u32).to_le_bytes());
+        let table_pos = out.len();
+        out.resize(table_pos + 4 * count, 0);
+        ContainerWriter {
+            payload_pos,
+            table_pos,
+            data_start: out.len(),
+        }
+    }
+
+    /// The next member starts at the current end of `out`.
+    #[inline]
+    pub(crate) fn member(&mut self, out: &mut [u8]) {
+        let off = (out.len() - self.data_start) as u32;
+        out[self.table_pos..self.table_pos + 4].copy_from_slice(&off.to_le_bytes());
+        self.table_pos += 4;
+    }
+
+    /// Patch the payload length once every member is written.
+    pub(crate) fn finish(self, out: &mut [u8]) {
+        debug_assert_eq!(self.table_pos, self.data_start, "member count mismatch");
+        let payload_len = (out.len() - self.payload_pos - 4) as u32;
+        out[self.payload_pos..self.payload_pos + 4].copy_from_slice(&payload_len.to_le_bytes());
+    }
 }
 
 /// Build a serialized sequence directly from already-serialized member
 /// items (used by group-by runtimes that accumulate member bytes).
 pub fn write_sequence_from_parts(parts: &[&[u8]], out: &mut Vec<u8>) {
-    out.push(tag::SEQUENCE);
-    let payload_pos = out.len();
-    out.extend_from_slice(&0u32.to_le_bytes());
-    out.extend_from_slice(&(parts.len() as u32).to_le_bytes());
-    let mut off = 0u32;
+    let mut c = ContainerWriter::begin(tag::SEQUENCE, parts.len(), out);
     for p in parts {
-        out.extend_from_slice(&off.to_le_bytes());
-        off += p.len() as u32;
-    }
-    for p in parts {
+        c.member(out);
         out.extend_from_slice(p);
     }
-    let payload_len = (out.len() - payload_pos - 4) as u32;
-    out[payload_pos..payload_pos + 4].copy_from_slice(&payload_len.to_le_bytes());
+    c.finish(out);
 }
 
 /// Serialize into a fresh buffer.
@@ -309,8 +343,20 @@ impl<'a> ItemRef<'a> {
         }
     }
 
-    /// Deserialize into the tree model.
+    /// Deserialize into the tree model. Nesting deeper than the parsers'
+    /// [`MAX_DEPTH`] is a [`JdmError::BadBinary`] error, so a crafted
+    /// item cannot exhaust the stack.
     pub fn to_item(&self) -> Result<Item> {
+        self.decode(0)
+    }
+
+    /// [`ItemRef::to_item`] for an item inside `depth` containers.
+    fn decode(&self, depth: usize) -> Result<Item> {
+        if matches!(self.tag(), tag::ARRAY | tag::OBJECT | tag::SEQUENCE) && depth >= MAX_DEPTH {
+            return Err(JdmError::BadBinary(format!(
+                "nesting depth exceeds {MAX_DEPTH}"
+            )));
+        }
         match self.tag() {
             tag::NULL => Ok(Item::Null),
             tag::FALSE => Ok(Item::Boolean(false)),
@@ -334,7 +380,7 @@ impl<'a> ItemRef<'a> {
                     let m = self
                         .member(i)
                         .ok_or_else(|| JdmError::BadBinary("bad member".into()))?;
-                    v.push(m.to_item()?);
+                    v.push(m.decode(depth + 1)?);
                 }
                 Ok(if self.tag() == tag::ARRAY {
                     Item::Array(v)
@@ -349,7 +395,7 @@ impl<'a> ItemRef<'a> {
                     let (k, v) = self
                         .pair(i)
                         .ok_or_else(|| JdmError::BadBinary("bad pair".into()))?;
-                    pairs.push((k.into(), v.to_item()?));
+                    pairs.push((k.into(), v.decode(depth + 1)?));
                 }
                 Ok(Item::Object(pairs))
             }
@@ -485,6 +531,46 @@ mod tests {
         assert!(ItemRef::new(&[0xFF]).is_err());
         let bytes = to_bytes(&parse_item(br#"[1,2,3]"#).unwrap());
         assert!(ItemRef::new(&bytes[..bytes.len() - 1]).is_err());
+    }
+
+    /// `depth` one-member arrays nested inside each other around `null`,
+    /// written header by header (no parser or encoder involved): each
+    /// level is a tag, its payload length, count 1 and offset 0.
+    fn nested_arrays(depth: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(13 * depth + 1);
+        for level in (1..=depth).rev() {
+            let payload_len = 13 * level + 1 - 5;
+            out.push(tag::ARRAY);
+            out.extend_from_slice(&(payload_len as u32).to_le_bytes());
+            out.extend_from_slice(&1u32.to_le_bytes());
+            out.extend_from_slice(&0u32.to_le_bytes());
+        }
+        out.push(tag::NULL);
+        out
+    }
+
+    #[test]
+    fn to_item_caps_nesting_depth() {
+        // The parsers' limit itself still decodes...
+        let ok = nested_arrays(MAX_DEPTH);
+        let mut expected = Item::Null;
+        for _ in 0..MAX_DEPTH {
+            expected = Item::Array(vec![expected]);
+        }
+        assert_eq!(to_bytes(&expected), ok);
+        assert_eq!(ItemRef::new(&ok).unwrap().to_item(), Ok(expected));
+        // ...one more level is a typed error, and far deeper input (which
+        // used to overflow the stack) fails the same way.
+        for depth in [MAX_DEPTH + 1, 50_000] {
+            let deep = nested_arrays(depth);
+            assert_eq!(
+                ItemRef::new(&deep).unwrap().to_item(),
+                Err(JdmError::BadBinary(format!(
+                    "nesting depth exceeds {MAX_DEPTH}"
+                ))),
+                "depth {depth}"
+            );
+        }
     }
 
     #[test]

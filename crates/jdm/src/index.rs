@@ -27,6 +27,7 @@
 //! [`StructuralIndex::build_reusing`] / [`StructuralIndex::into_tape`]
 //! (the scan layer pools tapes to avoid per-file allocation).
 
+use crate::binary::{tag, write_len_prefixed, write_number, ContainerWriter};
 use crate::error::{JdmError, Result};
 use crate::item::Item;
 use crate::number::Number;
@@ -188,6 +189,13 @@ impl StructuralIndex {
         self.tape
     }
 
+    /// [`StructuralIndex::into_tape`] for an owner that cannot give up
+    /// the index by value (a `Drop` impl); the index is left empty and
+    /// must not be navigated afterwards.
+    pub fn take_tape(&mut self) -> Vec<TapeEntry> {
+        std::mem::take(&mut self.tape)
+    }
+
     /// Tape index one past the subtree rooted at `node` — the next sibling
     /// position. O(1): containers jump via their pair pointer.
     #[inline]
@@ -236,6 +244,75 @@ impl StructuralIndex {
         let (s, e) = self.span(node);
         let mut p = EventParser::new(&buf[s..e]);
         TreeBuilder::build(&mut p)
+    }
+
+    /// Serialize the value at `node` onto `out` in the binary item format
+    /// ([`crate::binary`]), straight from the tape: the bytes equal
+    /// `write_item(&self.item_at(buf, node)?, out)`, but no [`Item`] is
+    /// built and nothing is re-tokenized. The build already validated
+    /// every span, so a string or key without a backslash is copied raw;
+    /// escaped ones decode through the shared string parser and numbers
+    /// through the shared number parser. A key node serializes as its
+    /// string, like [`StructuralIndex::item_at`]. Recursion is bounded by
+    /// the build's nesting limit.
+    pub fn write_binary_at(&self, buf: &[u8], node: usize, out: &mut Vec<u8>) -> Result<()> {
+        let e = self.tape[node];
+        match e.kind {
+            TapeKind::Null => out.push(tag::NULL),
+            TapeKind::Bool if buf[e.start as usize] == b't' => out.push(tag::TRUE),
+            TapeKind::Bool => out.push(tag::FALSE),
+            TapeKind::Number => write_number(self.number_at(buf, node)?, out),
+            TapeKind::String | TapeKind::Key => {
+                out.push(tag::STRING);
+                self.write_str_payload(buf, node, out)?;
+            }
+            TapeKind::ArrayOpen => {
+                let mut c =
+                    ContainerWriter::begin(tag::ARRAY, self.members_iter(node).count(), out);
+                for m in self.members_iter(node) {
+                    c.member(out);
+                    self.write_binary_at(buf, m, out)?;
+                }
+                c.finish(out);
+            }
+            TapeKind::ObjectOpen => {
+                let close = e.pair as usize;
+                let mut count = 0;
+                let mut key = node + 1;
+                while key < close {
+                    count += 1;
+                    key = self.skip(key + 1);
+                }
+                let mut c = ContainerWriter::begin(tag::OBJECT, count, out);
+                let mut key = node + 1;
+                while key < close {
+                    c.member(out);
+                    self.write_str_payload(buf, key, out)?;
+                    self.write_binary_at(buf, key + 1, out)?;
+                    key = self.skip(key + 1);
+                }
+                c.finish(out);
+            }
+            TapeKind::ObjectClose | TapeKind::ArrayClose => {
+                return Err(JdmError::parse(
+                    e.start as usize,
+                    "not at the start of a value",
+                ))
+            }
+        }
+        Ok(())
+    }
+
+    /// The length-prefixed payload of the key or string at `node`.
+    fn write_str_payload(&self, buf: &[u8], node: usize, out: &mut Vec<u8>) -> Result<()> {
+        let e = &self.tape[node];
+        let raw = &buf[e.start as usize + 1..e.end as usize - 1];
+        if raw.contains(&b'\\') {
+            write_len_prefixed(self.str_at(buf, node)?.as_bytes(), out);
+        } else {
+            write_len_prefixed(raw, out);
+        }
+        Ok(())
     }
 
     /// Decode the string of a [`TapeKind::Key`] or [`TapeKind::String`]
@@ -670,6 +747,25 @@ mod tests {
         let arr_node = 2; // after ObjectOpen, Key
         let arr = t.item_at(src.as_bytes(), arr_node).unwrap();
         assert_eq!(arr.get_index(0), Some(&Item::int(1)));
+    }
+
+    #[test]
+    fn write_binary_at_matches_item_at() {
+        use crate::binary::to_bytes;
+        let src = r#"{"a\u00e9": [1, -0, 1e3, {"b": "x\"y"}, [], {}], "a\u00e9": null, "s": "\ud83d\ude00é", "t": true}"#;
+        let t = idx(src);
+        for node in 0..t.len() {
+            if matches!(
+                t.tape()[node].kind,
+                TapeKind::ObjectClose | TapeKind::ArrayClose
+            ) {
+                continue;
+            }
+            let mut out = Vec::new();
+            t.write_binary_at(src.as_bytes(), node, &mut out).unwrap();
+            let item = t.item_at(src.as_bytes(), node).unwrap();
+            assert_eq!(out, to_bytes(&item), "node {node}: {item:?}");
+        }
     }
 
     #[test]

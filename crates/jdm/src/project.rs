@@ -49,12 +49,28 @@ pub fn project_stream(
 }
 
 /// [`project_stream`] over an already-built index (lets callers amortize
-/// the index across multiple projections or record ranges).
+/// the index across multiple projections or record ranges). Each match
+/// is materialized with [`StructuralIndex::item_at`].
 pub fn project_indexed(
     buf: &[u8],
     index: &StructuralIndex,
     path: &ProjectionPath,
     mut sink: impl FnMut(Item) -> bool,
+) -> Result<ProjectStats> {
+    project_indexed_nodes(buf, index, path, |node| Ok(sink(index.item_at(buf, node)?)))
+}
+
+/// The navigation behind [`project_indexed`], handing `sink` the tape
+/// index of each matching value instead of an [`Item`] — the caller
+/// decides how to materialize it (the engine's scan writes the binary
+/// format straight from the tape with
+/// [`StructuralIndex::write_binary_at`]). The sink returns `Ok(false)` to
+/// stop early; its errors end the projection.
+pub fn project_indexed_nodes(
+    buf: &[u8],
+    index: &StructuralIndex,
+    path: &ProjectionPath,
+    mut sink: impl FnMut(usize) -> Result<bool>,
 ) -> Result<ProjectStats> {
     let mut stats = ProjectStats::default();
     walk_tape(
@@ -85,16 +101,14 @@ fn walk_tape(
     idx: &StructuralIndex,
     node: usize,
     steps: &[PathStep],
-    sink: &mut impl FnMut(Item) -> bool,
+    sink: &mut impl FnMut(usize) -> Result<bool>,
     stats: &mut ProjectStats,
 ) -> Result<bool> {
     let Some((first, rest)) = steps.split_first() else {
-        // End of path: materialize this value and emit it.
-        let item = idx.item_at(buf, node)?;
+        // End of path: hand this value to the sink.
         stats.emitted += 1;
-        return Ok(sink(item));
+        return sink(node);
     };
-
     let e = &idx.tape()[node];
     match first {
         PathStep::Key(wanted) => {
@@ -289,6 +303,21 @@ impl RecordTable {
         path: &ProjectionPath,
         range: Range<usize>,
         mut sink: impl FnMut(Item) -> bool,
+    ) -> Result<ProjectStats> {
+        self.project_range_nodes(buf, index, path, range, |node| {
+            Ok(sink(index.item_at(buf, node)?))
+        })
+    }
+
+    /// [`RecordTable::project_range`] handing `sink` tape indices, like
+    /// [`project_indexed_nodes`].
+    pub fn project_range_nodes(
+        &self,
+        buf: &[u8],
+        index: &StructuralIndex,
+        path: &ProjectionPath,
+        range: Range<usize>,
+        mut sink: impl FnMut(usize) -> Result<bool>,
     ) -> Result<ProjectStats> {
         let steps = &path.steps()[self.residual..];
         let mut stats = ProjectStats::default();

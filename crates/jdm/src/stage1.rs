@@ -96,7 +96,7 @@ impl<'a> IndexScanner<'a> {
     /// Bytes classified per demand miss: small enough that the chunk is
     /// still L2-resident when the consumer reads the same bytes, large
     /// enough to amortize the call. Must be a multiple of 64.
-    pub(crate) const CHUNK: usize = 64 * 1024;
+    pub const CHUNK: usize = 64 * 1024;
 
     /// New scanner over `buf`. Block words land in `words` (cleared here;
     /// caller-owned so the allocation can be reused across documents).

@@ -39,7 +39,7 @@ use dataflow::ops::{
     SelectOp, UnnestOp,
 };
 use dataflow::{DataflowError, TaskContext, TupleRef};
-use jdm::binary::{write_item, ItemRef};
+use jdm::binary::write_item;
 use jdm::Item;
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -271,11 +271,10 @@ struct ExprEval(RtExpr);
 
 impl ScalarEvaluator for ExprEval {
     fn eval(&mut self, tuple: &TupleRef<'_>, out: &mut Vec<u8>) -> dataflow::Result<()> {
-        let item = self
-            .0
-            .eval(tuple)
-            .map_err(|e| DataflowError::Eval(e.to_string()))?;
-        write_item(&item, out);
+        self.0
+            .eval_ref(tuple, None)
+            .map_err(|e| DataflowError::Eval(e.to_string()))?
+            .write(out);
         Ok(())
     }
 }
@@ -574,7 +573,6 @@ impl<'a> Compiler<'a> {
                             return Ok(Pipeline {
                                 input: PipeInput::Source(Arc::new(WholeCollectionScanFactory {
                                     dir,
-                                    nodes: self.opts.nodes,
                                 })),
                                 steps: Vec::new(),
                                 schema: vec![*var],
@@ -1106,11 +1104,6 @@ fn decompose_group_agg(nested: &LogicalOp) -> Result<(VarId, AggFunc, &LogicalEx
         ));
     }
     Ok((*var, *func, arg))
-}
-
-// Decode helper used by tests and the engine's row printing.
-pub(crate) fn _decode_item(bytes: &[u8]) -> Option<Item> {
-    ItemRef::new(bytes).ok()?.to_item().ok()
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 use crate::error::{EngineError, Result};
 use algebra::expr::Function;
 use dataflow::TupleRef;
-use jdm::binary::ItemRef;
+use jdm::binary::{tag, write_item, ItemRef};
 use jdm::{DateTime, Item, Number};
 use std::cmp::Ordering;
 
@@ -41,33 +41,284 @@ pub enum RtExpr {
 impl RtExpr {
     /// Evaluate over a tuple.
     pub fn eval(&self, tuple: &TupleRef<'_>) -> Result<Item> {
-        self.eval_with(tuple, None)
+        self.eval_ref(tuple, None)?.into_item()
     }
 
     /// Evaluate with an optional extra item bound to [`EXTRA_FIELD`].
     pub fn eval_with(&self, tuple: &TupleRef<'_>, extra: Option<&Item>) -> Result<Item> {
+        self.eval_ref(tuple, extra)?.into_item()
+    }
+
+    /// Evaluate without materializing what the result does not need: a
+    /// field is a zero-copy view of the tuple's bytes, a constant is
+    /// borrowed, and path steps, comparisons, boolean connectives and the
+    /// dateTime functions work on those views. Every other case decodes
+    /// its arguments and defers to [`apply`], which stays the reference
+    /// semantics (the property tests pin the two together).
+    pub fn eval_ref<'a>(
+        &'a self,
+        tuple: &TupleRef<'a>,
+        extra: Option<&'a Item>,
+    ) -> Result<Val<'a>> {
         match self {
             RtExpr::Field(i) => {
                 if *i == EXTRA_FIELD {
                     return extra
-                        .cloned()
+                        .map(Val::Borrowed)
                         .ok_or_else(|| EngineError::Compile("extra field unbound".into()));
                 }
-                let bytes = tuple.field(*i);
-                ItemRef::new(bytes)
-                    .and_then(|r| r.to_item())
+                ItemRef::new(tuple.field(*i))
+                    .map(Val::Ref)
                     .map_err(|e| EngineError::Compile(format!("bad field {i}: {e}")))
             }
-            RtExpr::Const(item) => Ok(item.clone()),
-            RtExpr::Canon(inner) => Ok(canonicalize(inner.eval_with(tuple, extra)?)),
-            RtExpr::Call(f, args) => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(a.eval_with(tuple, extra)?);
-                }
-                apply(*f, vals)
+            RtExpr::Const(item) => Ok(Val::Borrowed(item)),
+            RtExpr::Canon(inner) => canonicalize_val(inner.eval_ref(tuple, extra)?),
+            RtExpr::Call(f, args) => call(*f, args, tuple, extra),
+        }
+    }
+}
+
+/// A value during evaluation, borrowed where possible.
+#[derive(Debug)]
+pub enum Val<'a> {
+    /// A view of serialized bytes: a tuple field or a part of one.
+    Ref(ItemRef<'a>),
+    /// A constant of the expression, or the subplan's extra item.
+    Borrowed(&'a Item),
+    /// A value computed during evaluation.
+    Owned(Item),
+}
+
+impl Val<'_> {
+    /// The value as a tree-model item: decodes a view, clones a borrow.
+    pub fn into_item(self) -> Result<Item> {
+        match self {
+            Val::Ref(r) => r
+                .to_item()
+                .map_err(|e| EngineError::Compile(format!("bad item: {e}"))),
+            Val::Borrowed(item) => Ok(item.clone()),
+            Val::Owned(item) => Ok(item),
+        }
+    }
+
+    /// Append the value in the binary item format; a view's bytes are
+    /// copied as they are.
+    pub fn write(&self, out: &mut Vec<u8>) {
+        match self {
+            Val::Ref(r) => out.extend_from_slice(r.bytes()),
+            Val::Borrowed(item) => write_item(item, out),
+            Val::Owned(item) => write_item(item, out),
+        }
+    }
+
+    fn item(&self) -> Option<&Item> {
+        match self {
+            Val::Ref(_) => None,
+            Val::Borrowed(item) => Some(item),
+            Val::Owned(item) => Some(item),
+        }
+    }
+
+    /// The binary type tag of the value, for views and items alike.
+    fn kind(&self) -> u8 {
+        match self {
+            Val::Ref(r) => r.tag(),
+            Val::Borrowed(item) => item_tag(item),
+            Val::Owned(item) => item_tag(item),
+        }
+    }
+
+    fn as_str(&self) -> Option<&str> {
+        match self {
+            Val::Ref(r) => r.as_str(),
+            _ => self.item()?.as_str(),
+        }
+    }
+
+    fn as_number(&self) -> Option<Number> {
+        match self {
+            Val::Ref(r) => r.as_number(),
+            _ => self.item()?.as_number(),
+        }
+    }
+
+    fn as_datetime(&self) -> Option<DateTime> {
+        match self {
+            Val::Ref(r) => r.as_datetime(),
+            _ => self.item()?.as_datetime(),
+        }
+    }
+
+    /// The value as a comparison operand; `None` for sequences (which
+    /// compare existentially) and for unreadable views, both left to
+    /// [`apply`].
+    fn atom(&self) -> Option<Atom<'_>> {
+        let Val::Ref(r) = self else {
+            return item_atom(self.item()?);
+        };
+        Some(match r.tag() {
+            tag::NULL => Atom::Null,
+            tag::FALSE => Atom::Bool(false),
+            tag::TRUE => Atom::Bool(true),
+            tag::INT | tag::DOUBLE => Atom::Number(r.as_number()?),
+            tag::STRING => Atom::String(r.as_str()?),
+            tag::DATETIME => Atom::DateTime(r.as_datetime()?),
+            tag::ARRAY | tag::OBJECT => Atom::Other,
+            _ => return None,
+        })
+    }
+
+    /// Effective boolean value; `None` for sequences, left to [`apply`].
+    fn ebv(&self) -> Option<bool> {
+        match self.kind() {
+            tag::TRUE => Some(true),
+            tag::FALSE | tag::NULL => Some(false),
+            tag::SEQUENCE => None,
+            _ => Some(true),
+        }
+    }
+}
+
+/// The binary type tag an item serializes with.
+fn item_tag(item: &Item) -> u8 {
+    match item {
+        Item::Null => tag::NULL,
+        Item::Boolean(false) => tag::FALSE,
+        Item::Boolean(true) => tag::TRUE,
+        Item::Number(Number::Int(_)) => tag::INT,
+        Item::Number(Number::Double(_)) => tag::DOUBLE,
+        Item::String(_) => tag::STRING,
+        Item::Array(_) => tag::ARRAY,
+        Item::Object(_) => tag::OBJECT,
+        Item::DateTime(_) => tag::DATETIME,
+        Item::Sequence(_) => tag::SEQUENCE,
+    }
+}
+
+/// Apply `f` to the (unevaluated) `args`, on views where the function
+/// allows it and through [`apply`] otherwise. Every argument is evaluated
+/// first, left to right, in both routes, so a query raises the same
+/// errors either way.
+fn call<'a>(
+    f: Function,
+    args: &'a [RtExpr],
+    tuple: &TupleRef<'a>,
+    extra: Option<&'a Item>,
+) -> Result<Val<'a>> {
+    use Function::*;
+    let eval = |a: &'a RtExpr| a.eval_ref(tuple, extra);
+    match (f, args) {
+        (Promote | Data | TreatItem | Iterate, [a]) => eval(a),
+        (Value, [base, key]) => {
+            let (base, key) = (eval(base)?, eval(key)?);
+            match value_view(&base, &key) {
+                Some(v) => Ok(v),
+                None => fallback(f, [base, key]),
             }
         }
+        (Eq | Ne | Ge | Le | Gt | Lt, [lhs, rhs]) => {
+            let (lhs, rhs) = (eval(lhs)?, eval(rhs)?);
+            match (lhs.atom(), rhs.atom()) {
+                (Some(l), Some(r)) => Ok(Val::Owned(Item::Boolean(compare_atoms(f, l, r)))),
+                _ => fallback(f, [lhs, rhs]),
+            }
+        }
+        (Not, [a]) => {
+            let arg = eval(a)?;
+            match arg.ebv() {
+                Some(b) => Ok(Val::Owned(Item::Boolean(!b))),
+                None => fallback(f, [arg]),
+            }
+        }
+        (And | Or, _) => {
+            let (mut all, mut any) = (true, false);
+            for a in args {
+                match eval(a)?.ebv() {
+                    Some(b) => {
+                        all &= b;
+                        any |= b;
+                    }
+                    // A sequence operand: re-evaluate everything for apply.
+                    None => return fallback(f, args.iter().map(eval).collect::<Result<Vec<_>>>()?),
+                }
+            }
+            Ok(Val::Owned(Item::Boolean(if f == And { all } else { any })))
+        }
+        (DateTime, [a]) => {
+            let arg = eval(a)?;
+            if let Some(s) = arg.as_str() {
+                return jdm::DateTime::parse(s)
+                    .map(|d| Val::Owned(Item::DateTime(d)))
+                    .map_err(|e| EngineError::Compile(e.to_string()));
+            }
+            match arg.as_datetime() {
+                Some(d) => Ok(Val::Owned(Item::DateTime(d))),
+                None => fallback(f, [arg]),
+            }
+        }
+        (YearFromDateTime | MonthFromDateTime | DayFromDateTime, [a]) => {
+            let arg = eval(a)?;
+            match arg.as_datetime() {
+                Some(d) => Ok(Val::Owned(Item::int(date_part(f, d)))),
+                None => fallback(f, [arg]),
+            }
+        }
+        _ => fallback(f, args.iter().map(eval).collect::<Result<Vec<_>>>()?),
+    }
+}
+
+/// Decode evaluated arguments and [`apply`] `f` to them.
+fn fallback<'a>(f: Function, vals: impl IntoIterator<Item = Val<'a>>) -> Result<Val<'a>> {
+    let items = vals
+        .into_iter()
+        .map(Val::into_item)
+        .collect::<Result<Vec<_>>>()?;
+    apply(f, items).map(Val::Owned)
+}
+
+/// [`value_step`] on a view or a borrowed item, returning a view or a
+/// borrow of the member. `None` where [`apply`] must decide: sequences
+/// (the step maps over them), owned bases and unreadable keys.
+fn value_view<'a>(base: &Val<'a>, key: &Val<'_>) -> Option<Val<'a>> {
+    let empty = || Val::Owned(Item::empty());
+    match (base.kind(), key.kind()) {
+        (tag::OBJECT, tag::STRING) => {
+            let k = key.as_str()?;
+            Some(match base {
+                Val::Ref(r) => r.get_key(k).map_or_else(empty, Val::Ref),
+                Val::Borrowed(item) => item.get_key(k).map_or_else(empty, Val::Borrowed),
+                Val::Owned(_) => return None,
+            })
+        }
+        (tag::ARRAY, _) => {
+            let Some(pos) = key.as_number().and_then(Number::as_i64) else {
+                return Some(empty());
+            };
+            Some(match base {
+                Val::Ref(r) if pos >= 1 => {
+                    r.member((pos - 1) as usize).map_or_else(empty, Val::Ref)
+                }
+                Val::Ref(_) => empty(),
+                Val::Borrowed(item) => item.get_position(pos).map_or_else(empty, Val::Borrowed),
+                Val::Owned(_) => return None,
+            })
+        }
+        (tag::SEQUENCE, _) => None,
+        // An object with a non-string key, or an atomic base.
+        _ => Some(empty()),
+    }
+}
+
+/// [`canonicalize`] on a value: a view's bytes are kept unless a double
+/// must narrow to an integer or a singleton sequence must unwrap.
+fn canonicalize_val(val: Val<'_>) -> Result<Val<'_>> {
+    match val.kind() {
+        tag::DOUBLE => Ok(match val.as_number().and_then(Number::as_i64) {
+            Some(i) => Val::Owned(Item::int(i)),
+            None => val,
+        }),
+        tag::SEQUENCE => Ok(Val::Owned(canonicalize(val.into_item()?))),
+        _ => Ok(val),
     }
 }
 
@@ -251,12 +502,42 @@ fn compare(f: Function, lhs: &Item, rhs: &Item) -> bool {
     if let (_, Item::Sequence(rs)) = (lhs, rhs) {
         return rs.iter().any(|r| compare(f, lhs, r));
     }
+    let atom = |item| item_atom(item).expect("not a sequence");
+    compare_atoms(f, atom(lhs), atom(rhs))
+}
+
+/// An item as a comparison operand; `None` for sequences.
+fn item_atom(item: &Item) -> Option<Atom<'_>> {
+    Some(match item {
+        Item::Null => Atom::Null,
+        Item::Boolean(b) => Atom::Bool(*b),
+        Item::Number(n) => Atom::Number(*n),
+        Item::String(s) => Atom::String(s),
+        Item::DateTime(d) => Atom::DateTime(*d),
+        Item::Array(_) | Item::Object(_) => Atom::Other,
+        Item::Sequence(_) => return None,
+    })
+}
+
+/// A comparison operand, borrowed from an item or a view.
+#[derive(Debug, Clone, Copy)]
+enum Atom<'a> {
+    Null,
+    Bool(bool),
+    Number(Number),
+    String(&'a str),
+    DateTime(DateTime),
+    /// An array or object: comparable to nothing.
+    Other,
+}
+
+fn compare_atoms(f: Function, lhs: Atom<'_>, rhs: Atom<'_>) -> bool {
     let ord = match (lhs, rhs) {
-        (Item::Number(a), Item::Number(b)) => a.num_cmp(*b),
-        (Item::String(a), Item::String(b)) => a.cmp(b),
-        (Item::Boolean(a), Item::Boolean(b)) => a.cmp(b),
-        (Item::DateTime(a), Item::DateTime(b)) => a.cmp(b),
-        (Item::Null, Item::Null) => Ordering::Equal,
+        (Atom::Number(a), Atom::Number(b)) => a.num_cmp(b),
+        (Atom::String(a), Atom::String(b)) => a.cmp(b),
+        (Atom::Bool(a), Atom::Bool(b)) => a.cmp(&b),
+        (Atom::DateTime(a), Atom::DateTime(b)) => a.cmp(&b),
+        (Atom::Null, Atom::Null) => Ordering::Equal,
         // JSONiq compares strings to numbers etc. as an error; a filter
         // context treats that as non-match.
         _ => return f == Function::Ne,

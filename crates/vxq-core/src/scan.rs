@@ -5,8 +5,10 @@
 //! * [`ProjectedScanFactory`] — the post-pipelining-rules DATASCAN: each
 //!   partition reads its share of the collection and **streams the
 //!   projected items** straight out of the structural-index-guided
-//!   projector ([`jdm::project`]), one tuple per item. Partitioned-
-//!   parallel, bounded memory.
+//!   projector ([`jdm::project`]), one tuple per item. Each item is
+//!   written in the binary format directly from the index tape
+//!   ([`StructuralIndex::write_binary_at`]); no `Item` tree is built.
+//!   Partitioned-parallel, bounded memory.
 //! * [`WholeCollectionScanFactory`] — the naive `ASSIGN collection(...)`:
 //!   a *single* partition parses every file completely and emits **one
 //!   tuple holding the sequence of all file items** (what the paper's
@@ -51,10 +53,10 @@ use dataflow::context::TaskContext;
 use dataflow::ops::eval::{ScanSource, ScanSourceFactory, TupleEmitter};
 use dataflow::profile::SplitProfile;
 use dataflow::{DataflowError, MemTracker, Result};
-use jdm::binary::{to_bytes, write_item};
+use jdm::binary::to_bytes;
 use jdm::index::StructuralIndex;
 use jdm::parse::parse_item;
-use jdm::project::{project_indexed, RecordTable};
+use jdm::project::{project_indexed_nodes, RecordTable};
 use jdm::stage1::Stage1Mode;
 use jdm::{Item, PathStep, ProjectionPath};
 use std::collections::HashMap;
@@ -249,7 +251,7 @@ fn assign_splits(
 }
 
 /// Every file of the collection, across all node directories.
-pub fn all_files(dir: &Path, _nodes: usize) -> Result<Vec<PathBuf>> {
+pub fn all_files(dir: &Path) -> Result<Vec<PathBuf>> {
     let dirs = node_dirs(dir)?;
     if dirs.is_empty() {
         return list_json_files(dir);
@@ -328,18 +330,20 @@ impl ScanSource for ProjectedScan {
             let mut err = None;
             let src_err =
                 |e: jdm::JdmError| DataflowError::Source(format!("{}: {e}", split.path.display()));
-            // The emitting sink shared by all text paths below.
-            let mut sink = |item: Item| {
+            // The emitting sink shared by all text paths below: each
+            // matched tape node is written in the binary item format
+            // straight from the tape, with no `Item` in between.
+            let mut sink = |buf: &[u8], index: &StructuralIndex, node: usize| {
                 item_bytes.clear();
-                write_item(&item, &mut item_bytes);
+                index.write_binary_at(buf, node, &mut item_bytes)?;
                 match emit(&[&item_bytes]) {
                     Ok(()) => {
                         tuples += 1;
-                        true
+                        Ok(true)
                     }
                     Err(e) => {
                         err = Some(e);
-                        false
+                        Ok(false)
                     }
                 }
             };
@@ -385,12 +389,17 @@ impl ScanSource for ProjectedScan {
                 records = match &table {
                     Some(t) => {
                         let n = t.len();
-                        t.project_range(&buf, &index, &self.project, 0..n, &mut sink)
-                            .map_err(src_err)?;
+                        t.project_range_nodes(&buf, &index, &self.project, 0..n, |node| {
+                            sink(&buf, &index, node)
+                        })
+                        .map_err(src_err)?;
                         n as u64
                     }
                     None => {
-                        project_indexed(&buf, &index, &self.project, &mut sink).map_err(src_err)?;
+                        project_indexed_nodes(&buf, &index, &self.project, |node| {
+                            sink(&buf, &index, node)
+                        })
+                        .map_err(src_err)?;
                         tuples
                     }
                 };
@@ -400,9 +409,13 @@ impl ScanSource for ProjectedScan {
             } else {
                 // One record range of a shared file: the cache reads and
                 // indexes the file once for all of its splits on this node.
-                let shared = self
-                    .cache
-                    .get(&split.path, &self.project, &self.ctx, self.stage1)?;
+                let shared = self.cache.get(
+                    &split.path,
+                    &self.project,
+                    &self.ctx,
+                    self.stage1,
+                    &self.pool,
+                )?;
                 kernel = Some(shared.index.kernel().label());
                 // The single shared build is attributed to whichever split
                 // records first, so it is counted exactly once.
@@ -415,12 +428,12 @@ impl ScanSource for ProjectedScan {
                 let hi = n * (split.split + 1) / split.of;
                 shared
                     .table
-                    .project_range(
+                    .project_range_nodes(
                         &shared.bytes,
                         &shared.index,
                         &self.project,
                         lo..hi,
-                        &mut sink,
+                        |node| sink(&shared.bytes, &shared.index, node),
                     )
                     .map_err(src_err)?;
                 records = (hi - lo) as u64;
@@ -453,12 +466,15 @@ impl ScanSource for ProjectedScan {
 }
 
 /// One fully loaded and indexed file, shared by the tasks scanning its
-/// splits. Its memory is tracked for the duration of the job.
+/// splits. Its memory is tracked for the duration of the job, and its
+/// read buffer and tape come from (and return to) the engine's pool, so
+/// consecutive jobs reuse one allocation instead of each making its own.
 struct LoadedFile {
     bytes: Vec<u8>,
     index: StructuralIndex,
     table: RecordTable,
     mem: Arc<MemTracker>,
+    pool: Arc<ScanBufferPool>,
     tracked: usize,
     /// Wall time of the one structural-index build.
     index_elapsed: Duration,
@@ -470,6 +486,8 @@ struct LoadedFile {
 impl Drop for LoadedFile {
     fn drop(&mut self) {
         self.mem.free_cached(self.tracked);
+        self.pool.put_buf(std::mem::take(&mut self.bytes));
+        self.pool.put_tape(self.index.take_tape());
     }
 }
 
@@ -490,6 +508,7 @@ impl FileIndexCache {
         project: &ProjectionPath,
         ctx: &TaskContext,
         stage1: Stage1Mode,
+        pool: &Arc<ScanBufferPool>,
     ) -> Result<Arc<LoadedFile>> {
         // Recover a poisoned map rather than panicking: the map itself is
         // structurally sound under poisoning (a panicked task can at worst
@@ -504,7 +523,7 @@ impl FileIndexCache {
             .clone();
         let loaded = slot.get_or_init(|| {
             let load = || -> Result<Arc<LoadedFile>> {
-                let mut bytes = Vec::new();
+                let mut bytes = pool.take_buf();
                 read_file_into(path, &mut bytes)?;
                 ctx.counters
                     .bytes_scanned
@@ -512,7 +531,8 @@ impl FileIndexCache {
                 let src_err =
                     |e: jdm::JdmError| DataflowError::Source(format!("{}: {e}", path.display()));
                 let index_started = Instant::now();
-                let index = StructuralIndex::build_with(&bytes, stage1).map_err(src_err)?;
+                let index = StructuralIndex::build_reusing_with(&bytes, pool.take_tape(), stage1)
+                    .map_err(src_err)?;
                 let index_elapsed = index_started.elapsed();
                 let table = RecordTable::build(&bytes, &index, project)
                     .map_err(src_err)?
@@ -534,6 +554,7 @@ impl FileIndexCache {
                     index,
                     table,
                     mem: ctx.mem.clone(),
+                    pool: pool.clone(),
                     tracked,
                     index_elapsed,
                     index_reported: AtomicBool::new(false),
@@ -586,14 +607,12 @@ fn project_binary(
 /// Factory for the naive whole-collection scan (single partition).
 pub struct WholeCollectionScanFactory {
     pub dir: PathBuf,
-    /// Node count, to resolve per-node sub-directories.
-    pub nodes: usize,
 }
 
 impl ScanSourceFactory for WholeCollectionScanFactory {
     fn create(&self, ctx: &TaskContext) -> Result<Box<dyn ScanSource>> {
         Ok(Box::new(WholeCollectionScan {
-            files: all_files(&self.dir, self.nodes)?,
+            files: all_files(&self.dir)?,
             ctx: ctx.clone(),
         }))
     }
@@ -748,7 +767,7 @@ mod tests {
                 );
             }
             seen.sort();
-            let mut all = all_files(&dir, 3).unwrap();
+            let mut all = all_files(&dir).unwrap();
             all.sort();
             assert_eq!(
                 seen, all,
@@ -778,7 +797,7 @@ mod tests {
         }
         seen.sort();
         let mut expected = Vec::new();
-        for f in all_files(&dir, 1).unwrap() {
+        for f in all_files(&dir).unwrap() {
             // 2-byte files, threshold 1 byte: 2 pieces (clamped by size).
             for j in 0..2 {
                 expected.push((f.clone(), j, 2));
@@ -901,13 +920,39 @@ mod tests {
         std::fs::write(dir.join("a.adm"), jdm::binary::to_bytes(&item)).unwrap();
         std::fs::write(dir.join("b.json"), br#"{"root": [3]}"#).unwrap();
         std::fs::write(dir.join("ignored.txt"), b"junk").unwrap();
-        let files = all_files(&dir, 1).unwrap();
+        let files = all_files(&dir).unwrap();
         assert_eq!(files.len(), 2, "only .adm and .json count: {files:?}");
         for f in &files {
             let bytes = std::fs::read(f).unwrap();
             let parsed = parse_file(f, &bytes).unwrap();
             assert!(parsed.get_key("root").is_some());
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn shared_split_loads_recycle_pooled_buffers() {
+        let dir = std::env::temp_dir().join("vxq-scan-pooled-split");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("a.json");
+        std::fs::write(&path, br#"{"root": [1, 2, 3]}"#).unwrap();
+        let project: ProjectionPath = [PathStep::Key("root".into()), PathStep::AllMembers]
+            .into_iter()
+            .collect();
+        let pool = Arc::new(ScanBufferPool::new());
+        let ctx = ctx(0, 1, 1);
+        // Two jobs in a row, each with its own cache: the second reuses
+        // the read buffer and the tape the first one returned on drop.
+        for _ in 0..2 {
+            let cache = FileIndexCache::default();
+            let loaded = cache
+                .get(&path, &project, &ctx, Stage1Mode::Swar, &pool)
+                .unwrap();
+            assert_eq!(loaded.table.len(), 3);
+        }
+        assert_eq!(pool.reuses(), 2);
+        assert_eq!(ctx.mem.cached(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

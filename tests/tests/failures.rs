@@ -197,3 +197,43 @@ fn deeply_nested_input_does_not_overflow() {
     let r = e.execute(queries::Q0).unwrap();
     assert!(r.rows.is_empty());
 }
+
+#[test]
+fn deeply_nested_binary_item_is_a_typed_error() {
+    use jdm::binary::tag;
+    // A binary `.adm` collection file: an array holding one record nested
+    // 50,000 one-member arrays deep (far past the parsers' 512 limit),
+    // written header by header. Decoding it used to overflow the stack.
+    let depth = 50_000;
+    let mut bytes = Vec::with_capacity(13 * (depth + 1) + 1);
+    for level in (1..=depth + 1).rev() {
+        let payload_len = (13 * level + 1 - 5) as u32;
+        bytes.push(tag::ARRAY);
+        bytes.extend_from_slice(&payload_len.to_le_bytes());
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+    }
+    bytes.push(tag::NULL);
+    let root = scratch("deep-adm");
+    let dir = root.join("deep");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("deep.adm"), bytes).unwrap();
+    let query = r#"for $r in collection("/deep")() return $r"#;
+    for rules in [
+        algebra::rules::RuleConfig::default(),
+        algebra::rules::RuleConfig::none(),
+    ] {
+        let e = Engine::new(EngineConfig {
+            rules,
+            data_root: root.clone(),
+            ..Default::default()
+        });
+        match e.execute(query) {
+            Err(EngineError::Execute(err)) => assert!(
+                err.to_string().contains("nesting depth exceeds 512"),
+                "{err}"
+            ),
+            other => panic!("expected a typed depth error, got {other:?}"),
+        }
+    }
+}
