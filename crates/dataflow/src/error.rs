@@ -17,6 +17,10 @@ pub enum DataflowError {
     Eval(String),
     /// A scan source failed (I/O, parse).
     Source(String),
+    /// A planned data file no longer matches the size and mtime it was
+    /// planned with (appended to, truncated, rewritten or deleted since
+    /// the scan was planned).
+    SourceChanged { path: std::path::PathBuf },
     /// Job-graph validation failed (unknown stage, cycle, arity mismatch).
     BadJob(String),
     /// A worker thread panicked or a channel was severed unexpectedly.
@@ -43,6 +47,9 @@ impl fmt::Display for DataflowError {
             DataflowError::BadFrame(m) => write!(f, "bad frame: {m}"),
             DataflowError::Eval(m) => write!(f, "evaluation error: {m}"),
             DataflowError::Source(m) => write!(f, "source error: {m}"),
+            DataflowError::SourceChanged { path } => {
+                write!(f, "source changed since planning: {}", path.display())
+            }
             DataflowError::BadJob(m) => write!(f, "invalid job: {m}"),
             DataflowError::Worker(m) => write!(f, "worker failure: {m}"),
             DataflowError::OutOfMemory { requested, budget } => {

@@ -24,8 +24,8 @@ use crate::error::{EngineError, Result};
 use crate::pool::ScanBufferPool;
 use crate::rtexpr::{RtExpr, EXTRA_FIELD};
 use crate::scan::{
-    resolve_collection, EmptyTupleSourceFactory, JsonDocScanFactory, ProjectedScanFactory,
-    ScanOptions, WholeCollectionScanFactory,
+    resolve_collection, EmptyTupleSourceFactory, ProjectedScanFactory, ScanOptions,
+    WholeCollectionScanFactory,
 };
 use algebra::expr::{AggFunc, Function, LogicalExpr};
 use algebra::plan::{LogicalOp, LogicalPlan, VarGen, VarId};
@@ -38,7 +38,7 @@ use dataflow::ops::{
     AggregateOp, AssignOp, BoxWriter, HashGroupByOp, HashJoinOp, MaterializingGroupByOp, ProjectOp,
     SelectOp, UnnestOp,
 };
-use dataflow::{DataflowError, TaskContext, TupleRef};
+use dataflow::{ClusterSpec, DataflowError, TaskContext, TupleRef};
 use jdm::binary::write_item;
 use jdm::Item;
 use std::collections::HashSet;
@@ -50,9 +50,8 @@ use std::sync::Arc;
 pub struct CompileOptions {
     /// Directory that collection paths resolve under.
     pub data_root: PathBuf,
-    /// Node count (resolves per-node collection sub-directories for the
-    /// naive whole-collection scan).
-    pub nodes: usize,
+    /// Cluster shape the DATASCANs place their splits over.
+    pub cluster: ClusterSpec,
     /// Enable two-step (local/global) aggregation.
     pub two_step_aggregation: bool,
     /// DATASCAN split behaviour (intra-file parallelism).
@@ -66,7 +65,7 @@ impl Default for CompileOptions {
     fn default() -> Self {
         CompileOptions {
             data_root: PathBuf::from("."),
-            nodes: 1,
+            cluster: ClusterSpec::default(),
             two_step_aggregation: true,
             scan: ScanOptions::default(),
             pool: Arc::new(ScanBufferPool::new()),
@@ -551,11 +550,12 @@ impl<'a> Compiler<'a> {
                 let dir = resolve_collection(&self.opts.data_root, &source.path);
                 let mut p = Pipeline {
                     input: PipeInput::Source(Arc::new(ProjectedScanFactory::new(
-                        dir,
+                        &dir,
                         project.clone(),
-                        self.opts.scan.clone(),
+                        &self.opts.cluster,
+                        &self.opts.scan,
                         self.opts.pool.clone(),
-                    ))),
+                    )?)),
                     steps: Vec::new(),
                     schema: vec![*var],
                     parallelism: Parallelism::Full,
@@ -567,24 +567,16 @@ impl<'a> Compiler<'a> {
             LogicalOp::Assign { var, expr, input } => {
                 // Naive source patterns.
                 if matches!(input.as_ref(), LogicalOp::EmptyTupleSource) {
-                    if let LogicalExpr::Call(Function::Collection, args) = expr {
+                    if let LogicalExpr::Call(f @ (Function::Collection | Function::JsonDoc), args) =
+                        expr
+                    {
                         if let Some(path) = args.first().and_then(const_string) {
-                            let dir = resolve_collection(&self.opts.data_root, path);
+                            let path = resolve_collection(&self.opts.data_root, path);
+                            let doc = matches!(f, Function::JsonDoc);
                             return Ok(Pipeline {
-                                input: PipeInput::Source(Arc::new(WholeCollectionScanFactory {
-                                    dir,
-                                })),
-                                steps: Vec::new(),
-                                schema: vec![*var],
-                                parallelism: Parallelism::One,
-                            });
-                        }
-                    }
-                    if let LogicalExpr::Call(Function::JsonDoc, args) = expr {
-                        if let Some(path) = args.first().and_then(const_string) {
-                            let file = resolve_collection(&self.opts.data_root, path);
-                            return Ok(Pipeline {
-                                input: PipeInput::Source(Arc::new(JsonDocScanFactory { file })),
+                                input: PipeInput::Source(Arc::new(
+                                    WholeCollectionScanFactory::new(&path, doc)?,
+                                )),
                                 steps: Vec::new(),
                                 schema: vec![*var],
                                 parallelism: Parallelism::One,
@@ -1111,14 +1103,23 @@ mod tests {
     use super::*;
     use algebra::rules::{RuleConfig, RuleSet};
 
+    /// A data root holding the (empty) collections the test queries read:
+    /// compilation lists them.
+    fn data_root() -> PathBuf {
+        let root = std::env::temp_dir().join("vxq-compile-tests");
+        for coll in ["sensors", "s"] {
+            std::fs::create_dir_all(root.join(coll)).unwrap();
+        }
+        root
+    }
+
     fn compile(query: &str, rules: RuleConfig) -> JobSpec {
         let mut plan = jsoniq::compile(query).expect("compiles");
         RuleSet::for_config(rules).optimize(&mut plan);
         compile_plan(
             &plan,
             &CompileOptions {
-                data_root: PathBuf::from("/nonexistent"),
-                nodes: 2,
+                data_root: data_root(),
                 two_step_aggregation: rules.two_step_aggregation,
                 ..CompileOptions::default()
             },
@@ -1219,8 +1220,7 @@ mod tests {
         let r = compile_plan(
             &plan,
             &CompileOptions {
-                data_root: PathBuf::from("/nonexistent"),
-                nodes: 1,
+                data_root: data_root(),
                 two_step_aggregation: true,
                 ..CompileOptions::default()
             },
@@ -1240,8 +1240,7 @@ mod tests {
         let job = compile_plan(
             &plan,
             &CompileOptions {
-                data_root: PathBuf::from("/nonexistent"),
-                nodes: 1,
+                data_root: data_root(),
                 two_step_aggregation: false,
                 ..CompileOptions::default()
             },

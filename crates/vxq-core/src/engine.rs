@@ -288,7 +288,7 @@ impl Engine {
                 &prepared.plan,
                 &CompileOptions {
                     data_root: self.config.data_root.clone(),
-                    nodes: self.config.cluster.nodes,
+                    cluster: self.config.cluster.clone(),
                     two_step_aggregation: self.config.rules.two_step_aggregation,
                     scan: self.config.scan.clone(),
                     pool: self.pool.clone(),

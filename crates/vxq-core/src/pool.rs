@@ -10,8 +10,9 @@
 //! The pool is deliberately dumb — two mutexed free lists with a bounded
 //! entry count. The free lists stay structurally sound if a holder of the
 //! lock panics, so poisoned locks are recovered rather than propagating
-//! one task's panic into every concurrent scan sharing the pool. Scan tasks hold a buffer across an entire file read +
-//! parse, so the lock is touched twice per file, not per operation.
+//! one task's panic into every concurrent scan sharing the pool. A file's
+//! buffer and tape are held from its load until its last split finishes,
+//! so the locks are touched twice per file, not per operation.
 
 use jdm::index::TapeEntry;
 use std::sync::atomic::{AtomicU64, Ordering};

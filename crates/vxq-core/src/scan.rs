@@ -1,6 +1,6 @@
 //! DATASCAN runtimes: how collection data reaches the dataflow.
 //!
-//! Three scan flavours, matching the plan shapes before/after the rules:
+//! Two scan flavours, matching the plan shapes before/after the rules:
 //!
 //! * [`ProjectedScanFactory`] — the post-pipelining-rules DATASCAN: each
 //!   partition reads its share of the collection and **streams the
@@ -14,8 +14,8 @@
 //!   tuple holding the sequence of all file items** (what the paper's
 //!   Fig. 5 plan does before DATASCAN is introduced — and why those
 //!   experiments only use small collections). The materialized sequence
-//!   is reported to the memory tracker.
-//! * [`JsonDocScanFactory`] — `json-doc("file")`: one document, one tuple.
+//!   is reported to the memory tracker. `json-doc("file")` is the same
+//!   scan over one document, emitting the document itself.
 //!
 //! ## Collection layout
 //!
@@ -26,44 +26,46 @@
 //! stored under the same directory"). Otherwise files are shared across
 //! all partitions.
 //!
-//! ## Splits, not files
+//! ## Planned once, per execution
 //!
-//! Work is assigned as [`ScanSplit`]s. Every task of a stage computes the
-//! same deterministic global assignment ([`partition_splits`]) from file
-//! sizes alone, then keeps its own share — no coordination:
+//! Every factory is built by `compile_plan`, which lists and stats its
+//! collection exactly once per execution into a `ScanPlan`: each file's
+//! path, size and mtime, and the placement of its splits over the
+//! cluster's partitions. Each task then scans only its own slice:
 //!
 //! 1. files larger than [`ScanOptions::min_split_bytes`] are chopped into
 //!    up to one split per partition (only when the projection path has a
 //!    `()` step — that is what gives the file record granularity — and
 //!    never for binary `.adm` files);
 //! 2. the splits are placed by greedy LPT (largest first, onto the
-//!    least-loaded partition), so a size-skewed directory still balances —
-//!    the old index round-robin ignored sizes entirely.
+//!    least-loaded partition), so a size-skewed directory still balances.
 //!
 //! At scan time, split *j of n* of a file covers records
 //! `[j·R/n, (j+1)·R/n)` of the array reached by the projection path's
 //! prefix (see [`jdm::project::RecordTable`]): record-aligned byte
-//! ranges, found via the structural index, no mid-value cuts. The n
-//! tasks of one file share a single read + index through a per-factory
-//! cache, so a single big JSON file fans out across all workers while
-//! being read once per node.
+//! ranges, found via the structural index, no mid-value cuts; a whole
+//! file is the range `0..R`. The n splits of one file share a single
+//! load, which checks the file against its planned identity (size and
+//! mtime of the open file, and the bytes actually read) and fails with
+//! [`DataflowError::SourceChanged`] on any mismatch — so tasks can never
+//! disagree on a file's records. The load's bytes and tape go back to the
+//! engine's [`ScanBufferPool`] as soon as the file's last split finishes.
 
 use crate::pool::ScanBufferPool;
 use dataflow::context::TaskContext;
 use dataflow::ops::eval::{ScanSource, ScanSourceFactory, TupleEmitter};
 use dataflow::profile::SplitProfile;
-use dataflow::{DataflowError, MemTracker, Result};
-use jdm::binary::to_bytes;
+use dataflow::{ClusterSpec, DataflowError, MemTracker, Result};
+use jdm::binary::{to_bytes, ItemRef};
 use jdm::index::StructuralIndex;
 use jdm::parse::parse_item;
 use jdm::project::{project_indexed_nodes, RecordTable};
 use jdm::stage1::Stage1Mode;
 use jdm::{Item, PathStep, ProjectionPath};
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant, SystemTime};
 
 /// Knobs of the projected DATASCAN (part of the engine configuration).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,16 +93,17 @@ impl Default for ScanOptions {
     }
 }
 
-/// One unit of scan work: a record-aligned share of a file.
+/// One unit of scan work: a record-aligned share of a planned file.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScanSplit {
-    pub path: PathBuf,
+struct ScanSplit {
+    /// Index of the file in its plan's `files`.
+    file: usize,
     /// Estimated bytes this split covers (size-based; used for placement).
-    pub bytes: u64,
+    bytes: u64,
     /// Split index within the file.
-    pub split: usize,
+    split: usize,
     /// Total splits of the file (1 = whole file).
-    pub of: usize,
+    of: usize,
 }
 
 /// Resolve a query collection path under the engine's data root.
@@ -108,125 +111,261 @@ pub fn resolve_collection(data_root: &Path, coll: &str) -> PathBuf {
     data_root.join(coll.trim_start_matches('/'))
 }
 
-/// Enumerate a directory's data files in name order. `.json` files hold
-/// JSON text; `.adm` files hold a pre-converted binary item (the
-/// AsterixDB-load baseline's internal format).
-fn list_json_files(dir: &Path) -> Result<Vec<PathBuf>> {
-    let mut files = Vec::new();
-    let entries = std::fs::read_dir(dir)
-        .map_err(|e| DataflowError::Source(format!("cannot read {}: {e}", dir.display())))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| DataflowError::Source(e.to_string()))?;
-        let p = entry.path();
-        if p.is_file()
-            && p.extension()
-                .map(|e| e == "json" || e == "adm")
-                .unwrap_or(false)
-        {
-            files.push(p);
+/// A data file as listed at planning time, and the load its splits share.
+struct PlannedFile {
+    path: PathBuf,
+    size: u64,
+    mtime: Option<SystemTime>,
+    /// Splits of this file not yet finished; the last one releases the load.
+    pending: AtomicUsize,
+    /// The resident load. A mutex, not a `OnceLock`, because the last
+    /// split must empty it through a shared reference.
+    loaded: Mutex<Option<Arc<LoadedFile>>>,
+}
+
+impl PlannedFile {
+    /// Stat `path` once, fixing the identity the loader checks.
+    fn stat(path: PathBuf) -> Result<(PlannedFile, bool)> {
+        let meta = std::fs::metadata(&path)
+            .map_err(|e| DataflowError::Source(format!("cannot read {}: {e}", path.display())))?;
+        let file = PlannedFile {
+            size: meta.len(),
+            mtime: meta.modified().ok(),
+            path,
+            pending: AtomicUsize::new(0),
+            loaded: Mutex::new(None),
+        };
+        Ok((file, meta.is_file()))
+    }
+
+    fn is_adm(&self) -> bool {
+        self.path.extension().is_some_and(|e| e == "adm")
+    }
+
+    /// Read the whole file into `buf`, failing with
+    /// [`DataflowError::SourceChanged`] unless it is still the planned
+    /// file: same size and mtime on the open handle, and exactly `size`
+    /// bytes read.
+    fn read_checked(&self, ctx: &TaskContext, buf: &mut Vec<u8>) -> Result<()> {
+        use std::io::Read;
+        let changed = || DataflowError::SourceChanged {
+            path: self.path.clone(),
+        };
+        let io_err = |e: std::io::Error| {
+            DataflowError::Source(format!("cannot read {}: {e}", self.path.display()))
+        };
+        let mut f = match std::fs::File::open(&self.path) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(changed()),
+            f => f.map_err(io_err)?,
+        };
+        let meta = f.metadata().map_err(io_err)?;
+        if meta.len() != self.size || meta.modified().ok() != self.mtime {
+            return Err(changed());
+        }
+        buf.clear();
+        f.read_to_end(buf).map_err(io_err)?;
+        if buf.len() as u64 != self.size {
+            return Err(changed());
+        }
+        ctx.counters
+            .bytes_scanned
+            .fetch_add(self.size, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Read and parse the whole file into an item (the naive scans).
+    fn read_item(&self, ctx: &TaskContext, buf: &mut Vec<u8>) -> Result<Item> {
+        self.read_checked(ctx, buf)?;
+        let r = if self.is_adm() {
+            ItemRef::new(buf).and_then(|r| r.to_item())
+        } else {
+            parse_item(buf)
+        };
+        r.map_err(|e| DataflowError::Source(format!("{}: {e}", self.path.display())))
+    }
+
+    /// The shared load for one of this file's splits. The first split
+    /// reads, checks and indexes the file, charging it to the cache class
+    /// while it is resident; the others reuse that load, and dropping the
+    /// last of the file's `of` leases releases it.
+    fn lease(
+        &self,
+        ctx: &TaskContext,
+        pool: &Arc<ScanBufferPool>,
+        project: &ProjectionPath,
+        stage1: Stage1Mode,
+    ) -> Result<Lease<'_>> {
+        // A poisoned slot is still sound: it only ever holds a complete
+        // load or nothing.
+        let mut slot = self.loaded.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(loaded) = &*slot {
+            let loaded = loaded.clone();
+            return Ok(Lease { file: self, loaded });
+        }
+        let mut loaded = LoadedFile {
+            bytes: pool.take_buf(),
+            text: None,
+            mem: ctx.mem.clone(),
+            pool: pool.clone(),
+            tracked: 0,
+            index_elapsed: Duration::ZERO,
+            index_reported: AtomicBool::new(false),
+        };
+        self.read_checked(ctx, &mut loaded.bytes)?;
+        let mut tracked = loaded.bytes.len();
+        if !self.is_adm() {
+            let src_err =
+                |e: jdm::JdmError| DataflowError::Source(format!("{}: {e}", self.path.display()));
+            let started = Instant::now();
+            let index =
+                StructuralIndex::build_reusing_with(&loaded.bytes, pool.take_tape(), stage1)
+                    .map_err(src_err)?;
+            loaded.index_elapsed = started.elapsed();
+            let table = RecordTable::build(&loaded.bytes, &index, project).map_err(src_err)?;
+            tracked += index.len() * std::mem::size_of::<jdm::index::TapeEntry>()
+                + table.as_ref().map_or(0, |t| {
+                    t.records.len() * std::mem::size_of::<jdm::project::RecordSpan>()
+                });
+            loaded.text = Some((index, table));
+        }
+        // Cache class: reported in the peak, exempt from the spill budget
+        // (operators cannot release it by spilling).
+        ctx.mem.alloc_cached(tracked);
+        loaded.tracked = tracked;
+        let loaded = slot.insert(Arc::new(loaded)).clone();
+        Ok(Lease { file: self, loaded })
+    }
+}
+
+/// One split's hold on its file's load.
+struct Lease<'a> {
+    file: &'a PlannedFile,
+    loaded: Arc<LoadedFile>,
+}
+
+impl Drop for Lease<'_> {
+    fn drop(&mut self) {
+        // AcqRel: the split that counts down to zero must see every other
+        // split's finish before it empties the slot.
+        if self.file.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.file
+                .loaded
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .take();
         }
     }
-    files.sort();
+}
+
+/// The scan of one DATASCAN for one execution: every planned file and the
+/// placement of their splits over the cluster's partitions.
+struct ScanPlan {
+    /// Planned files in listing order: node directories in index order,
+    /// names sorted within each.
+    files: Vec<PlannedFile>,
+    /// Per partition, the splits it scans, in order.
+    parts: Vec<Vec<ScanSplit>>,
+}
+
+impl ScanPlan {
+    /// List and stat the collection at `dir` once and place its splits.
+    ///
+    /// Data-node directory `d` is owned by cluster node `d % nodes` (exact
+    /// locality when the dataset was generated for this cluster size;
+    /// balanced reassignment when node counts differ, as in the speed-up
+    /// experiments that run one dataset on growing clusters). Within a
+    /// node, the node's files are chopped and placed over its partitions
+    /// by [`assign_splits`]; a flat collection is placed over all
+    /// partitions. `splittable` says whether the consumer can scan a
+    /// record range of a file (true only for projections with a `()`
+    /// step).
+    fn new(
+        dir: &Path,
+        cluster: &ClusterSpec,
+        opts: &ScanOptions,
+        splittable: bool,
+    ) -> Result<ScanPlan> {
+        let ppn = cluster.partitions_per_node.max(1);
+        let nodes = cluster.nodes.max(1);
+        let mut plan = ScanPlan {
+            files: Vec::new(),
+            parts: vec![Vec::new(); nodes * ppn],
+        };
+        let dirs = node_dirs(dir);
+        if dirs.is_empty() {
+            plan.files = list_files(dir)?;
+            plan.parts = assign_splits(&plan.files, 0, nodes * ppn, opts, splittable);
+        }
+        for (d, node_dir) in dirs.iter().enumerate() {
+            let first = plan.files.len();
+            plan.files.extend(list_files(node_dir)?);
+            let placed = assign_splits(&plan.files[first..], first, ppn, opts, splittable);
+            for (local, mut splits) in placed.into_iter().enumerate() {
+                plan.parts[(d % nodes) * ppn + local].append(&mut splits);
+            }
+        }
+        for s in plan.parts.iter().flatten() {
+            *plan.files[s.file].pending.get_mut() = s.of;
+        }
+        Ok(plan)
+    }
+
+    /// The splits partition `p` scans.
+    fn splits(&self, p: usize) -> &[ScanSplit] {
+        &self.parts[p]
+    }
+}
+
+/// List and stat a directory's data files once, in name order. `.json`
+/// files hold JSON text; `.adm` files hold a pre-converted binary item
+/// (the AsterixDB-load baseline's internal format).
+fn list_files(dir: &Path) -> Result<Vec<PlannedFile>> {
+    let cannot_read =
+        |e: std::io::Error| DataflowError::Source(format!("cannot read {}: {e}", dir.display()));
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).map_err(cannot_read)? {
+        let p = entry.map_err(cannot_read)?.path();
+        if p.extension().is_some_and(|e| e == "json" || e == "adm") {
+            if let (file, true) = PlannedFile::stat(p)? {
+                files.push(file);
+            }
+        }
+    }
+    files.sort_by(|a, b| a.path.cmp(&b.path));
     Ok(files)
-}
-
-/// Files of a directory with their byte sizes.
-fn sized_files(dir: &Path) -> Result<Vec<(PathBuf, u64)>> {
-    Ok(list_json_files(dir)?
-        .into_iter()
-        .map(|p| {
-            let size = std::fs::metadata(&p).map(|m| m.len()).unwrap_or(0);
-            (p, size)
-        })
-        .collect())
-}
-
-/// Parse one data file (text or binary) into an item.
-fn parse_file(path: &Path, buf: &[u8]) -> Result<Item> {
-    let binary = path.extension().map(|e| e == "adm").unwrap_or(false);
-    let r = if binary {
-        jdm::binary::ItemRef::new(buf).and_then(|r| r.to_item())
-    } else {
-        parse_item(buf)
-    };
-    r.map_err(|e| DataflowError::Source(format!("{}: {e}", path.display())))
 }
 
 /// The collection's `node<i>` sub-directories, in index order (empty when
 /// the collection is a flat directory of files).
-fn node_dirs(dir: &Path) -> Result<Vec<PathBuf>> {
-    let mut out = Vec::new();
-    for i in 0.. {
-        let d = dir.join(format!("node{i}"));
-        if d.is_dir() {
-            out.push(d);
-        } else {
-            break;
-        }
-    }
-    Ok(out)
+fn node_dirs(dir: &Path) -> Vec<PathBuf> {
+    (0..)
+        .map(|i| dir.join(format!("node{i}")))
+        .take_while(|d| d.is_dir())
+        .collect()
 }
 
-/// The splits a given partition is responsible for.
-///
-/// Data-node directory `d` is owned by cluster node `d % cluster_nodes`
-/// (exact locality when the dataset was generated for this cluster size;
-/// balanced reassignment when node counts differ, as in the speed-up
-/// experiments that run one dataset on growing clusters). Within a node,
-/// the node's files are chopped and placed over its partitions by
-/// [`assign_splits`]; a flat collection is placed over all partitions.
-/// `splittable` says whether the consumer can scan a record range of a
-/// file (true only for projections with a `()` step).
-pub fn partition_splits(
-    dir: &Path,
-    ctx: &TaskContext,
-    opts: &ScanOptions,
-    splittable: bool,
-) -> Result<Vec<ScanSplit>> {
-    let ppn = ctx.partitions_per_node.max(1);
-    let cluster_nodes = ctx.num_partitions.div_ceil(ppn);
-    let dirs = node_dirs(dir)?;
-    if dirs.is_empty() {
-        // Flat collection: place over all partitions.
-        let files = sized_files(dir)?;
-        let mut assignment = assign_splits(&files, ctx.num_partitions.max(1), opts, splittable);
-        return Ok(std::mem::take(&mut assignment[ctx.partition]));
-    }
-    let local = ctx.partition % ppn;
-    let mut out = Vec::new();
-    for (d, node_dir) in dirs.iter().enumerate() {
-        if d % cluster_nodes.max(1) != ctx.node {
-            continue;
-        }
-        let files = sized_files(node_dir)?;
-        let mut assignment = assign_splits(&files, ppn, opts, splittable);
-        out.append(&mut assignment[local]);
-    }
-    Ok(out)
-}
-
-/// Deterministic size-aware placement of a file set over `nparts`
-/// partitions: chop large files into record-range splits, then greedy LPT
-/// (largest split first, onto the least-loaded partition, ties broken by
-/// path so every task computes the identical placement).
+/// Deterministic size-aware placement of a file set (numbered from
+/// `first` in the plan) over `nparts` partitions: chop large files into
+/// record-range splits, then greedy LPT (largest split first, onto the
+/// least-loaded partition, ties broken by listing order).
 fn assign_splits(
-    files: &[(PathBuf, u64)],
+    files: &[PlannedFile],
+    first: usize,
     nparts: usize,
     opts: &ScanOptions,
     splittable: bool,
 ) -> Vec<Vec<ScanSplit>> {
     let mut splits = Vec::with_capacity(files.len());
-    for (path, size) in files {
-        let adm = path.extension().map(|e| e == "adm").unwrap_or(false);
-        let pieces = if splittable && !adm && opts.intra_file_splits && nparts > 1 {
-            ((size / opts.min_split_bytes.max(1)) as usize).clamp(1, nparts)
+    for (i, f) in files.iter().enumerate() {
+        let pieces = if splittable && !f.is_adm() && opts.intra_file_splits && nparts > 1 {
+            ((f.size / opts.min_split_bytes.max(1)) as usize).clamp(1, nparts)
         } else {
             1
         };
         for j in 0..pieces {
             splits.push(ScanSplit {
-                path: path.clone(),
-                bytes: (size / pieces as u64).max(1),
+                file: first + i,
+                bytes: (f.size / pieces as u64).max(1),
                 split: j,
                 of: pieces,
             });
@@ -235,7 +374,7 @@ fn assign_splits(
     splits.sort_by(|a, b| {
         b.bytes
             .cmp(&a.bytes)
-            .then_with(|| a.path.cmp(&b.path))
+            .then(a.file.cmp(&b.file))
             .then(a.split.cmp(&b.split))
     });
     let mut out = vec![Vec::new(); nparts];
@@ -250,206 +389,108 @@ fn assign_splits(
     out
 }
 
-/// Every file of the collection, across all node directories.
-pub fn all_files(dir: &Path) -> Result<Vec<PathBuf>> {
-    let dirs = node_dirs(dir)?;
-    if dirs.is_empty() {
-        return list_json_files(dir);
-    }
-    let mut out = Vec::new();
-    for d in dirs {
-        out.extend(list_json_files(&d)?);
-    }
-    Ok(out)
-}
-
 // ------------------------------------------------------------ projected
 
 /// Factory for the projecting partitioned DATASCAN.
 pub struct ProjectedScanFactory {
-    dir: PathBuf,
+    plan: Arc<ScanPlan>,
     project: ProjectionPath,
-    options: ScanOptions,
+    stage1: Stage1Mode,
     pool: Arc<ScanBufferPool>,
-    /// Shared per-job cache: the n tasks scanning splits of one file read
-    /// and index it exactly once.
-    cache: Arc<FileIndexCache>,
 }
 
 impl ProjectedScanFactory {
+    /// Plan the scan of the collection at `dir` for `cluster`: the one
+    /// listing of this DATASCAN for this execution.
     pub fn new(
-        dir: PathBuf,
+        dir: &Path,
         project: ProjectionPath,
-        options: ScanOptions,
+        cluster: &ClusterSpec,
+        options: &ScanOptions,
         pool: Arc<ScanBufferPool>,
-    ) -> Self {
-        ProjectedScanFactory {
-            dir,
+    ) -> Result<Self> {
+        // Only a `()` step gives the file record granularity to split on.
+        let splittable = project
+            .steps()
+            .iter()
+            .any(|s| matches!(s, PathStep::AllMembers));
+        Ok(ProjectedScanFactory {
+            plan: Arc::new(ScanPlan::new(dir, cluster, options, splittable)?),
             project,
-            options,
+            stage1: options.stage1,
             pool,
-            cache: Arc::new(FileIndexCache::default()),
-        }
+        })
     }
 }
 
 impl ScanSourceFactory for ProjectedScanFactory {
     fn create(&self, ctx: &TaskContext) -> Result<Box<dyn ScanSource>> {
-        // Only a `()` step gives the file record granularity to split on.
-        let splittable = self
-            .project
-            .steps()
-            .iter()
-            .any(|s| matches!(s, PathStep::AllMembers));
+        if ctx.num_partitions != self.plan.parts.len() {
+            return Err(DataflowError::BadJob(format!(
+                "scan planned for {} partitions runs on {}",
+                self.plan.parts.len(),
+                ctx.num_partitions
+            )));
+        }
         Ok(Box::new(ProjectedScan {
-            splits: partition_splits(&self.dir, ctx, &self.options, splittable)?,
+            plan: self.plan.clone(),
             project: self.project.clone(),
             ctx: ctx.clone(),
             pool: self.pool.clone(),
-            cache: self.cache.clone(),
-            stage1: self.options.stage1,
+            stage1: self.stage1,
         }))
     }
 }
 
 struct ProjectedScan {
-    splits: Vec<ScanSplit>,
+    plan: Arc<ScanPlan>,
     project: ProjectionPath,
     ctx: TaskContext,
     pool: Arc<ScanBufferPool>,
-    cache: Arc<FileIndexCache>,
     stage1: Stage1Mode,
 }
 
 impl ScanSource for ProjectedScan {
     fn run(&mut self, emit: &mut TupleEmitter<'_>) -> Result<()> {
         let mut item_bytes = Vec::new();
-        for split in &self.splits {
+        for split in self.plan.splits(self.ctx.partition) {
             let started = Instant::now();
+            let file = &self.plan.files[split.file];
+            let lease = file.lease(&self.ctx, &self.pool, &self.project, self.stage1)?;
+            let loaded = &lease.loaded;
             let mut tuples = 0u64;
             let mut err = None;
-            let src_err =
-                |e: jdm::JdmError| DataflowError::Source(format!("{}: {e}", split.path.display()));
-            // The emitting sink shared by all text paths below: each
-            // matched tape node is written in the binary item format
-            // straight from the tape, with no `Item` in between.
-            let mut sink = |buf: &[u8], index: &StructuralIndex, node: usize| {
-                item_bytes.clear();
-                index.write_binary_at(buf, node, &mut item_bytes)?;
-                match emit(&[&item_bytes]) {
+            let (records, bytes) = loaded.project(
+                file,
+                split,
+                &self.project,
+                &mut item_bytes,
+                &mut |item| match emit(&[item]) {
                     Ok(()) => {
                         tuples += 1;
-                        Ok(true)
+                        true
                     }
                     Err(e) => {
                         err = Some(e);
-                        Ok(false)
+                        false
                     }
-                }
-            };
-
-            let (records, bytes);
-            // Index-build attribution for the split profile: bytes run
-            // through the structural-index build by this task, and the
-            // stage-1 mode that produced the index it navigated.
-            let mut index_bytes = 0u64;
-            let mut index_elapsed = Duration::ZERO;
-            let mut kernel = None;
-            if split.path.extension().map(|e| e == "adm").unwrap_or(false) {
-                // Binary files navigate zero-copy instead of re-parsing
-                // (never split: `of` is always 1 for .adm).
-                let mut buf = self.pool.take_buf();
-                read_file_into(&split.path, &mut buf)?;
-                self.ctx
-                    .counters
-                    .bytes_scanned
-                    .fetch_add(buf.len() as u64, Ordering::Relaxed);
-                let root = jdm::binary::ItemRef::new(&buf)
-                    .map_err(|e| DataflowError::Source(format!("{}: {e}", split.path.display())))?;
-                project_binary(root, self.project.steps(), emit, &mut tuples)?;
-                records = tuples;
-                bytes = buf.len() as u64;
-                self.pool.put_buf(buf);
-            } else if split.of == 1 {
-                // Whole file: pooled read buffer + pooled index tape.
-                let mut buf = self.pool.take_buf();
-                read_file_into(&split.path, &mut buf)?;
-                self.ctx
-                    .counters
-                    .bytes_scanned
-                    .fetch_add(buf.len() as u64, Ordering::Relaxed);
-                let index_started = Instant::now();
-                let index =
-                    StructuralIndex::build_reusing_with(&buf, self.pool.take_tape(), self.stage1)
-                        .map_err(src_err)?;
-                index_elapsed = index_started.elapsed();
-                index_bytes = buf.len() as u64;
-                kernel = Some(index.kernel().label());
-                let table = RecordTable::build(&buf, &index, &self.project).map_err(src_err)?;
-                records = match &table {
-                    Some(t) => {
-                        let n = t.len();
-                        t.project_range_nodes(&buf, &index, &self.project, 0..n, |node| {
-                            sink(&buf, &index, node)
-                        })
-                        .map_err(src_err)?;
-                        n as u64
-                    }
-                    None => {
-                        project_indexed_nodes(&buf, &index, &self.project, |node| {
-                            sink(&buf, &index, node)
-                        })
-                        .map_err(src_err)?;
-                        tuples
-                    }
-                };
-                bytes = buf.len() as u64;
-                self.pool.put_tape(index.into_tape());
-                self.pool.put_buf(buf);
-            } else {
-                // One record range of a shared file: the cache reads and
-                // indexes the file once for all of its splits on this node.
-                let shared = self.cache.get(
-                    &split.path,
-                    &self.project,
-                    &self.ctx,
-                    self.stage1,
-                    &self.pool,
-                )?;
-                kernel = Some(shared.index.kernel().label());
-                // The single shared build is attributed to whichever split
-                // records first, so it is counted exactly once.
-                if !shared.index_reported.swap(true, Ordering::Relaxed) {
-                    index_bytes = shared.bytes.len() as u64;
-                    index_elapsed = shared.index_elapsed;
-                }
-                let n = shared.table.len();
-                let lo = n * split.split / split.of;
-                let hi = n * (split.split + 1) / split.of;
-                shared
-                    .table
-                    .project_range_nodes(
-                        &shared.bytes,
-                        &shared.index,
-                        &self.project,
-                        lo..hi,
-                        |node| sink(&shared.bytes, &shared.index, node),
-                    )
-                    .map_err(src_err)?;
-                records = (hi - lo) as u64;
-                bytes = if hi > lo {
-                    (shared.table.records[hi - 1].end - shared.table.records[lo].start) as u64
-                } else {
-                    0
-                };
-            }
+                },
+            )?;
             if let Some(e) = err {
                 return Err(e);
             }
+            // The file's single index build is attributed to whichever of
+            // its splits records first, so it is counted exactly once.
+            let (index_bytes, index_elapsed) = match &loaded.text {
+                Some(_) if !loaded.index_reported.swap(true, Ordering::Relaxed) => {
+                    (loaded.bytes.len() as u64, loaded.index_elapsed)
+                }
+                _ => (0, Duration::ZERO),
+            };
             self.ctx.record_split(SplitProfile {
                 stage: self.ctx.stage,
                 partition: self.ctx.partition,
-                file: split.path.display().to_string(),
+                file: file.path.display().to_string(),
                 split: split.split,
                 of: split.of,
                 records,
@@ -458,21 +499,25 @@ impl ScanSource for ProjectedScan {
                 elapsed: started.elapsed(),
                 index_bytes,
                 index_elapsed,
-                kernel,
+                kernel: loaded
+                    .text
+                    .as_ref()
+                    .map(|(index, _)| index.kernel().label()),
             });
         }
         Ok(())
     }
 }
 
-/// One fully loaded and indexed file, shared by the tasks scanning its
-/// splits. Its memory is tracked for the duration of the job, and its
-/// read buffer and tape come from (and return to) the engine's pool, so
-/// consecutive jobs reuse one allocation instead of each making its own.
+/// One loaded file, shared by the tasks scanning its splits. Its read
+/// buffer and tape come from, and go back to, the engine's pool; its
+/// memory is charged to the cache class until it is dropped.
 struct LoadedFile {
     bytes: Vec<u8>,
-    index: StructuralIndex,
-    table: RecordTable,
+    /// Structural index and record table of a JSON text file (the table
+    /// is `None` for a path with no `()` step); `None` for a binary
+    /// `.adm` item, which is navigated zero-copy.
+    text: Option<(StructuralIndex, Option<RecordTable>)>,
     mem: Arc<MemTracker>,
     pool: Arc<ScanBufferPool>,
     tracked: usize,
@@ -487,203 +532,166 @@ impl Drop for LoadedFile {
     fn drop(&mut self) {
         self.mem.free_cached(self.tracked);
         self.pool.put_buf(std::mem::take(&mut self.bytes));
-        self.pool.put_tape(self.index.take_tape());
+        if let Some((index, _)) = &mut self.text {
+            self.pool.put_tape(index.take_tape());
+        }
     }
 }
 
-/// Per-factory (per-job, per-process) cache of loaded files. The map
-/// lock is held only to find the slot; the load itself runs inside the
-/// slot's `OnceLock`, so concurrent tasks of other files proceed and
-/// tasks of the same file block exactly until the single load finishes.
-#[derive(Default)]
-struct FileIndexCache {
-    #[allow(clippy::type_complexity)]
-    map: Mutex<HashMap<PathBuf, Arc<OnceLock<std::result::Result<Arc<LoadedFile>, String>>>>>,
-}
-
-impl FileIndexCache {
-    fn get(
+impl LoadedFile {
+    /// Project `split` through `project`, handing each matched item's
+    /// binary bytes to `sink` until it returns false. Returns the records
+    /// the split covered and the bytes of the file it was responsible for.
+    fn project(
         &self,
-        path: &Path,
+        file: &PlannedFile,
+        split: &ScanSplit,
         project: &ProjectionPath,
-        ctx: &TaskContext,
-        stage1: Stage1Mode,
-        pool: &Arc<ScanBufferPool>,
-    ) -> Result<Arc<LoadedFile>> {
-        // Recover a poisoned map rather than panicking: the map itself is
-        // structurally sound under poisoning (a panicked task can at worst
-        // leave an extra empty slot), and panicking here would cascade one
-        // task's failure into every concurrent query sharing the cache.
-        let slot = self
-            .map
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .entry(path.to_path_buf())
-            .or_default()
-            .clone();
-        let loaded = slot.get_or_init(|| {
-            let load = || -> Result<Arc<LoadedFile>> {
-                let mut bytes = pool.take_buf();
-                read_file_into(path, &mut bytes)?;
-                ctx.counters
-                    .bytes_scanned
-                    .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                let src_err =
-                    |e: jdm::JdmError| DataflowError::Source(format!("{}: {e}", path.display()));
-                let index_started = Instant::now();
-                let index = StructuralIndex::build_reusing_with(&bytes, pool.take_tape(), stage1)
-                    .map_err(src_err)?;
-                let index_elapsed = index_started.elapsed();
-                let table = RecordTable::build(&bytes, &index, project)
-                    .map_err(src_err)?
-                    .ok_or_else(|| {
-                        DataflowError::Source(format!(
-                            "{}: split scan over a path with no () step",
-                            path.display()
-                        ))
-                    })?;
-                let tracked = bytes.len()
-                    + index.len() * std::mem::size_of::<jdm::index::TapeEntry>()
-                    + table.records.len() * std::mem::size_of::<jdm::project::RecordSpan>();
-                // Cache class: resident for the job, reported in the
-                // peak, exempt from the spill budget (operators cannot
-                // release it by spilling).
-                ctx.mem.alloc_cached(tracked);
-                Ok(Arc::new(LoadedFile {
-                    bytes,
-                    index,
-                    table,
-                    mem: ctx.mem.clone(),
-                    pool: pool.clone(),
-                    tracked,
-                    index_elapsed,
-                    index_reported: AtomicBool::new(false),
-                }))
-            };
-            load().map_err(|e| e.to_string())
-        });
-        loaded.clone().map_err(DataflowError::Source)
+        out: &mut Vec<u8>,
+        sink: &mut dyn FnMut(&[u8]) -> bool,
+    ) -> Result<(u64, u64)> {
+        let src_err =
+            |e: jdm::JdmError| DataflowError::Source(format!("{}: {e}", file.path.display()));
+        let (buf, whole) = (&self.bytes[..], self.bytes.len() as u64);
+        let mut matched = 0u64;
+        let Some((index, table)) = &self.text else {
+            let root = ItemRef::new(buf).map_err(src_err)?;
+            project_binary(root, project.steps(), &mut |item| {
+                matched += 1;
+                sink(item)
+            });
+            return Ok((matched, whole));
+        };
+        let emit = |node: usize| -> jdm::Result<bool> {
+            out.clear();
+            index.write_binary_at(buf, node, out)?;
+            matched += 1;
+            Ok(sink(out))
+        };
+        let Some(table) = table else {
+            project_indexed_nodes(buf, index, project, emit).map_err(src_err)?;
+            return Ok((matched, whole));
+        };
+        let n = table.len();
+        let (lo, hi) = (n * split.split / split.of, n * (split.split + 1) / split.of);
+        table
+            .project_range_nodes(buf, index, project, lo..hi, emit)
+            .map_err(src_err)?;
+        let bytes = match split.of {
+            1 => whole,
+            _ if hi > lo => (table.records[hi - 1].end - table.records[lo].start) as u64,
+            _ => 0,
+        };
+        Ok(((hi - lo) as u64, bytes))
     }
 }
 
-/// Navigate a binary item along a projection path, emitting matches.
+/// Navigate a binary item along a projection path, handing matches to
+/// `sink`; returns false once `sink` asked to stop.
 fn project_binary(
-    item: jdm::binary::ItemRef<'_>,
-    steps: &[jdm::PathStep],
-    emit: &mut TupleEmitter<'_>,
-    tuples: &mut u64,
-) -> Result<()> {
-    use jdm::PathStep;
+    item: ItemRef<'_>,
+    steps: &[PathStep],
+    sink: &mut dyn FnMut(&[u8]) -> bool,
+) -> bool {
     let Some((first, rest)) = steps.split_first() else {
-        *tuples += 1;
-        return emit(&[item.bytes()]);
+        return sink(item.bytes());
     };
     match first {
-        PathStep::Key(k) => match item.get_key(k) {
-            Some(v) => project_binary(v, rest, emit, tuples),
-            None => Ok(()),
-        },
-        PathStep::Index(i) => {
-            if *i >= 1 {
-                if let Some(v) = item.member((*i - 1) as usize) {
-                    return project_binary(v, rest, emit, tuples);
-                }
-            }
-            Ok(())
-        }
+        PathStep::Key(k) => item
+            .get_key(k)
+            .is_none_or(|v| project_binary(v, rest, sink)),
+        PathStep::Index(i) => (*i >= 1)
+            .then(|| item.member((*i - 1) as usize))
+            .flatten()
+            .is_none_or(|v| project_binary(v, rest, sink)),
         PathStep::AllMembers => {
-            if item.tag() == jdm::binary::tag::ARRAY {
-                for m in item.members() {
-                    project_binary(m, rest, emit, tuples)?;
-                }
-            }
-            Ok(())
+            item.tag() != jdm::binary::tag::ARRAY
+                || item.members().all(|m| project_binary(m, rest, sink))
         }
     }
 }
 
-// ------------------------------------------------------ whole collection
+// ------------------------------------------------------ naive sources
 
-/// Factory for the naive whole-collection scan (single partition).
+/// Factory for the naive sources, which parse whole files on a single
+/// partition: the whole-collection scan and `json-doc("file")`.
 pub struct WholeCollectionScanFactory {
-    pub dir: PathBuf,
+    files: Arc<[PlannedFile]>,
+    /// `json-doc`: emit the one document itself, not a sequence of items.
+    doc: bool,
+}
+
+impl WholeCollectionScanFactory {
+    /// Stat the source once: list the collection at `path`, or for
+    /// `json-doc` (`doc`) the single document at `path`.
+    pub fn new(path: &Path, doc: bool) -> Result<Self> {
+        let files = match doc {
+            true => vec![PlannedFile::stat(path.to_path_buf())?.0],
+            false => {
+                ScanPlan::new(
+                    path,
+                    &ClusterSpec::default(),
+                    &ScanOptions::default(),
+                    false,
+                )?
+                .files
+            }
+        };
+        Ok(WholeCollectionScanFactory {
+            files: files.into(),
+            doc,
+        })
+    }
 }
 
 impl ScanSourceFactory for WholeCollectionScanFactory {
     fn create(&self, ctx: &TaskContext) -> Result<Box<dyn ScanSource>> {
         Ok(Box::new(WholeCollectionScan {
-            files: all_files(&self.dir)?,
+            files: self.files.clone(),
+            doc: self.doc,
             ctx: ctx.clone(),
         }))
     }
 }
 
 struct WholeCollectionScan {
-    files: Vec<PathBuf>,
+    files: Arc<[PlannedFile]>,
+    doc: bool,
     ctx: TaskContext,
+}
+
+impl WholeCollectionScan {
+    /// Parse every file and serialize the result, adding each memory
+    /// grant to `tracked`.
+    fn materialize(&self, tracked: &mut usize) -> Result<Vec<u8>> {
+        let mut buf = Vec::new();
+        let mut items = Vec::with_capacity(self.files.len());
+        for file in self.files.iter() {
+            let item = file.read_item(&self.ctx, &mut buf)?;
+            *tracked += item.heap_size();
+            self.ctx.mem.alloc(item.heap_size());
+            items.push(item);
+        }
+        // A `json-doc` source has exactly one file. The serialized result
+        // is also materialized (it becomes one giant tuple).
+        let bytes = match self.doc {
+            true => to_bytes(&items.swap_remove(0)),
+            false => to_bytes(&Item::Sequence(items)),
+        };
+        *tracked += bytes.len();
+        self.ctx.mem.alloc(bytes.len());
+        Ok(bytes)
+    }
 }
 
 impl ScanSource for WholeCollectionScan {
     fn run(&mut self, emit: &mut TupleEmitter<'_>) -> Result<()> {
-        let mut buf = Vec::new();
-        let mut items = Vec::with_capacity(self.files.len());
-        let mut tracked = 0usize;
-        for file in &self.files {
-            read_file_into(file, &mut buf)?;
-            self.ctx
-                .counters
-                .bytes_scanned
-                .fetch_add(buf.len() as u64, Ordering::Relaxed);
-            let item = parse_file(file, &buf)?;
-            let sz = item.heap_size();
-            tracked += sz;
-            self.ctx.mem.alloc(sz);
-            items.push(item);
-        }
-        let seq = Item::Sequence(items);
-        let bytes = to_bytes(&seq);
-        // The serialized sequence is also materialized (it becomes one
-        // giant tuple).
-        self.ctx.mem.alloc(bytes.len());
-        tracked += bytes.len();
-        let r = emit(&[&bytes]);
+        let mut tracked = 0;
+        let r = self.materialize(&mut tracked).and_then(|b| emit(&[&b]));
+        // Freed on every exit path: a file failing to read or parse must
+        // not leak the grants of the files before it.
         self.ctx.mem.free(tracked);
         r
-    }
-}
-
-// -------------------------------------------------------------- json-doc
-
-/// Factory for `json-doc("file")`: one document, one tuple.
-pub struct JsonDocScanFactory {
-    pub file: PathBuf,
-}
-
-impl ScanSourceFactory for JsonDocScanFactory {
-    fn create(&self, ctx: &TaskContext) -> Result<Box<dyn ScanSource>> {
-        Ok(Box::new(JsonDocScan {
-            file: self.file.clone(),
-            ctx: ctx.clone(),
-        }))
-    }
-}
-
-struct JsonDocScan {
-    file: PathBuf,
-    ctx: TaskContext,
-}
-
-impl ScanSource for JsonDocScan {
-    fn run(&mut self, emit: &mut TupleEmitter<'_>) -> Result<()> {
-        let mut buf = Vec::new();
-        read_file_into(&self.file, &mut buf)?;
-        self.ctx
-            .counters
-            .bytes_scanned
-            .fetch_add(buf.len() as u64, Ordering::Relaxed);
-        let item = parse_file(&self.file, &buf)?;
-        let bytes = to_bytes(&item);
-        emit(&[&bytes])
     }
 }
 
@@ -703,16 +711,6 @@ impl ScanSource for EmptyTupleScan {
     fn run(&mut self, emit: &mut TupleEmitter<'_>) -> Result<()> {
         emit(&[])
     }
-}
-
-fn read_file_into(path: &Path, buf: &mut Vec<u8>) -> Result<()> {
-    use std::io::Read;
-    buf.clear();
-    let mut f = std::fs::File::open(path)
-        .map_err(|e| DataflowError::Source(format!("cannot open {}: {e}", path.display())))?;
-    f.read_to_end(buf)
-        .map_err(|e| DataflowError::Source(format!("cannot read {}: {e}", path.display())))?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -738,37 +736,58 @@ mod tests {
         }
     }
 
-    fn layout(nodes: usize, files_per_node: usize) -> std::path::PathBuf {
+    fn plan(
+        dir: &Path,
+        nodes: usize,
+        ppn: usize,
+        opts: &ScanOptions,
+        splittable: bool,
+    ) -> ScanPlan {
+        let cluster = ClusterSpec {
+            nodes,
+            partitions_per_node: ppn,
+            ..ClusterSpec::default()
+        };
+        ScanPlan::new(dir, &cluster, opts, splittable).unwrap()
+    }
+
+    fn paths(plan: &ScanPlan, p: usize) -> Vec<PathBuf> {
+        plan.splits(p)
+            .iter()
+            .map(|s| plan.files[s.file].path.clone())
+            .collect()
+    }
+
+    fn root_members() -> ProjectionPath {
+        [PathStep::Key("root".into()), PathStep::AllMembers]
+            .into_iter()
+            .collect()
+    }
+
+    fn layout(nodes: usize, files_per_node: usize) -> (PathBuf, Vec<PathBuf>) {
         let dir = std::env::temp_dir().join(format!("vxq-scan-layout-{nodes}-{files_per_node}"));
         let _ = std::fs::remove_dir_all(&dir);
+        let mut files = Vec::new();
         for n in 0..nodes {
             let nd = dir.join(format!("node{n}"));
             std::fs::create_dir_all(&nd).unwrap();
             for f in 0..files_per_node {
-                std::fs::write(nd.join(format!("part{f}.json")), b"{}").unwrap();
+                files.push(nd.join(format!("part{f}.json")));
+                std::fs::write(files.last().unwrap(), b"{}").unwrap();
             }
         }
-        dir
+        (dir, files)
     }
 
     #[test]
     fn partitions_cover_all_files_exactly_once() {
-        let dir = layout(3, 4);
+        let (dir, mut all) = layout(3, 4);
+        all.sort();
         let opts = ScanOptions::default();
         for (nodes, ppn) in [(1usize, 1usize), (1, 4), (3, 2), (6, 1), (2, 3)] {
-            let total = nodes * ppn;
-            let mut seen = Vec::new();
-            for p in 0..total {
-                seen.extend(
-                    partition_splits(&dir, &ctx(p, total, ppn), &opts, true)
-                        .unwrap()
-                        .into_iter()
-                        .map(|s| s.path),
-                );
-            }
+            let plan = plan(&dir, nodes, ppn, &opts, true);
+            let mut seen: Vec<PathBuf> = (0..nodes * ppn).flat_map(|p| paths(&plan, p)).collect();
             seen.sort();
-            let mut all = all_files(&dir).unwrap();
-            all.sort();
             assert_eq!(
                 seen, all,
                 "cluster {nodes}x{ppn} must cover every file once"
@@ -782,22 +801,22 @@ mod tests {
         // With a tiny split threshold every file chops into one split per
         // partition; the (path, split, of) triples across partitions must
         // tile each file exactly.
-        let dir = layout(1, 3);
+        let (dir, all) = layout(1, 3);
         let opts = ScanOptions {
             intra_file_splits: true,
             min_split_bytes: 1,
             ..ScanOptions::default()
         };
-        let ppn = 4;
+        let plan = plan(&dir, 1, 4, &opts, true);
         let mut seen: Vec<(PathBuf, usize, usize)> = Vec::new();
-        for p in 0..ppn {
-            for s in partition_splits(&dir, &ctx(p, ppn, ppn), &opts, true).unwrap() {
-                seen.push((s.path, s.split, s.of));
+        for p in 0..4 {
+            for s in plan.splits(p) {
+                seen.push((plan.files[s.file].path.clone(), s.split, s.of));
             }
         }
         seen.sort();
         let mut expected = Vec::new();
-        for f in all_files(&dir).unwrap() {
+        for f in all {
             // 2-byte files, threshold 1 byte: 2 pieces (clamped by size).
             for j in 0..2 {
                 expected.push((f.clone(), j, 2));
@@ -810,14 +829,15 @@ mod tests {
 
     #[test]
     fn unsplittable_paths_get_whole_files() {
-        let dir = layout(1, 2);
+        let (dir, _) = layout(1, 2);
         let opts = ScanOptions {
             intra_file_splits: true,
             min_split_bytes: 1,
             ..ScanOptions::default()
         };
+        let plan = plan(&dir, 1, 2, &opts, false);
         for p in 0..2 {
-            for s in partition_splits(&dir, &ctx(p, 2, 2), &opts, false).unwrap() {
+            for s in plan.splits(p) {
                 assert_eq!(s.of, 1, "no () step means whole-file scans");
             }
         }
@@ -826,17 +846,15 @@ mod tests {
 
     #[test]
     fn matching_cluster_gets_node_locality() {
-        let dir = layout(2, 2);
-        let opts = ScanOptions::default();
+        let (dir, _) = layout(2, 2);
         // 2 nodes x 1 partition: node 0 reads only node0's files.
-        let files = partition_splits(&dir, &ctx(0, 2, 1), &opts, true).unwrap();
-        assert!(files
-            .iter()
-            .all(|s| s.path.to_string_lossy().contains("node0")));
-        let files1 = partition_splits(&dir, &ctx(1, 2, 1), &opts, true).unwrap();
-        assert!(files1
-            .iter()
-            .all(|s| s.path.to_string_lossy().contains("node1")));
+        let plan = plan(&dir, 2, 1, &ScanOptions::default(), true);
+        for p in 0..2 {
+            let node = format!("node{p}");
+            assert!(paths(&plan, p)
+                .iter()
+                .all(|f| f.to_string_lossy().contains(&node)));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -848,9 +866,8 @@ mod tests {
         for f in 0..5 {
             std::fs::write(dir.join(format!("f{f}.json")), b"{}").unwrap();
         }
-        let opts = ScanOptions::default();
-        let a = partition_splits(&dir, &ctx(0, 2, 2), &opts, true).unwrap();
-        let b = partition_splits(&dir, &ctx(1, 2, 2), &opts, true).unwrap();
+        let plan = plan(&dir, 1, 2, &ScanOptions::default(), true);
+        let (a, b) = (paths(&plan, 0), paths(&plan, 1));
         assert_eq!(a.len() + b.len(), 5);
         assert!(a.iter().all(|s| !b.contains(s)));
         let _ = std::fs::remove_dir_all(&dir);
@@ -873,14 +890,9 @@ mod tests {
             min_split_bytes: 1024,
             ..ScanOptions::default()
         };
+        let plan = plan(&dir, 1, 2, &opts, true);
         let loads: Vec<u64> = (0..2)
-            .map(|p| {
-                partition_splits(&dir, &ctx(p, 2, 2), &opts, true)
-                    .unwrap()
-                    .iter()
-                    .map(|s| s.bytes)
-                    .sum()
-            })
+            .map(|p| plan.splits(p).iter().map(|s| s.bytes).sum())
             .collect();
         let (max, min) = (*loads.iter().max().unwrap(), *loads.iter().min().unwrap());
         assert!(min > 0, "both partitions must get work: {loads:?}");
@@ -903,8 +915,9 @@ mod tests {
             min_split_bytes: 1,
             ..ScanOptions::default()
         };
+        let plan = plan(&dir, 1, 2, &opts, true);
         for p in 0..2 {
-            for s in partition_splits(&dir, &ctx(p, 2, 2), &opts, true).unwrap() {
+            for s in plan.splits(p) {
                 assert_eq!(s.of, 1, "binary files have no text record ranges");
             }
         }
@@ -920,11 +933,10 @@ mod tests {
         std::fs::write(dir.join("a.adm"), jdm::binary::to_bytes(&item)).unwrap();
         std::fs::write(dir.join("b.json"), br#"{"root": [3]}"#).unwrap();
         std::fs::write(dir.join("ignored.txt"), b"junk").unwrap();
-        let files = all_files(&dir).unwrap();
-        assert_eq!(files.len(), 2, "only .adm and .json count: {files:?}");
-        for f in &files {
-            let bytes = std::fs::read(f).unwrap();
-            let parsed = parse_file(f, &bytes).unwrap();
+        let plan = plan(&dir, 1, 1, &ScanOptions::default(), true);
+        assert_eq!(plan.files.len(), 2, "only .adm and .json count");
+        for f in &plan.files {
+            let parsed = f.read_item(&ctx(0, 1, 1), &mut Vec::new()).unwrap();
             assert!(parsed.get_key("root").is_some());
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -935,25 +947,113 @@ mod tests {
         let dir = std::env::temp_dir().join("vxq-scan-pooled-split");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("a.json");
-        std::fs::write(&path, br#"{"root": [1, 2, 3]}"#).unwrap();
-        let project: ProjectionPath = [PathStep::Key("root".into()), PathStep::AllMembers]
-            .into_iter()
-            .collect();
+        std::fs::write(dir.join("a.json"), br#"{"root": [1, 2, 3]}"#).unwrap();
         let pool = Arc::new(ScanBufferPool::new());
         let ctx = ctx(0, 1, 1);
-        // Two jobs in a row, each with its own cache: the second reuses
-        // the read buffer and the tape the first one returned on drop.
+        // Two jobs in a row, each with its own plan: the second reuses the
+        // read buffer and the tape the first one released.
         for _ in 0..2 {
-            let cache = FileIndexCache::default();
-            let loaded = cache
-                .get(&path, &project, &ctx, Stage1Mode::Swar, &pool)
+            let plan = plan(&dir, 1, 1, &ScanOptions::default(), true);
+            let lease = plan.files[0]
+                .lease(&ctx, &pool, &root_members(), Stage1Mode::Swar)
                 .unwrap();
-            assert_eq!(loaded.table.len(), 3);
+            let (_, table) = lease.loaded.text.as_ref().unwrap();
+            assert_eq!(table.as_ref().unwrap().len(), 3);
         }
         assert_eq!(pool.reuses(), 2);
         assert_eq!(ctx.mem.cached(), 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn last_split_returns_the_load_to_the_pool() {
+        let dir = std::env::temp_dir().join("vxq-scan-last-split");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("a.json"), br#"{"root": [1, 2, 3, 4]}"#).unwrap();
+        let opts = ScanOptions {
+            intra_file_splits: true,
+            min_split_bytes: 1,
+            ..ScanOptions::default()
+        };
+        let plan = plan(&dir, 1, 2, &opts, true);
+        assert_eq!(plan.splits(0)[0].of, 2, "one file, one split per partition");
+        let pool = Arc::new(ScanBufferPool::new());
+        let ctx = ctx(0, 2, 2);
+        let file = &plan.files[0];
+        let first = file
+            .lease(&ctx, &pool, &root_members(), Stage1Mode::Swar)
+            .unwrap();
+        let last = file
+            .lease(&ctx, &pool, &root_members(), Stage1Mode::Swar)
+            .unwrap();
+        assert!(Arc::ptr_eq(&first.loaded, &last.loaded), "one shared load");
+        drop(first);
+        assert!(ctx.mem.cached() > 0, "resident until the last split ends");
+        assert_eq!(pool.take_buf().capacity(), 0, "not yet pooled");
+        drop(last);
+        assert_eq!(ctx.mem.cached(), 0);
+        assert!(pool.take_buf().capacity() >= file.size as usize);
+        assert!(pool.take_tape().capacity() > 0);
+        assert_eq!(pool.reuses(), 2, "buffer and tape both came back");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Plan `a.json` in a fresh directory, apply `change`, and load it.
+    fn load_after(name: &str, change: impl FnOnce(&Path)) -> (PathBuf, Result<()>) {
+        let dir = std::env::temp_dir().join(format!("vxq-scan-changed-{name}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("a.json");
+        std::fs::write(&path, br#"{"root": [1, 2, 3]}"#).unwrap();
+        let plan = plan(&dir, 1, 1, &ScanOptions::default(), true);
+        change(&path);
+        let pool = Arc::new(ScanBufferPool::new());
+        let ctx = ctx(0, 1, 1);
+        let r = plan.files[0]
+            .lease(&ctx, &pool, &root_members(), Stage1Mode::Swar)
+            .map(drop);
+        assert_eq!(ctx.mem.cached(), 0, "a refused load holds nothing");
+        let _ = std::fs::remove_dir_all(&dir);
+        (path, r)
+    }
+
+    fn assert_changed(path: &Path, r: Result<()>) {
+        match r {
+            Err(DataflowError::SourceChanged { path: p }) => assert_eq!(p, path),
+            other => panic!(
+                "expected SourceChanged for {}, got {other:?}",
+                path.display()
+            ),
+        }
+    }
+
+    #[test]
+    fn appending_after_planning_is_source_changed() {
+        let (path, r) = load_after("append", |p| {
+            use std::io::Write;
+            let mut f = std::fs::OpenOptions::new().append(true).open(p).unwrap();
+            f.write_all(b"  ").unwrap();
+        });
+        assert_changed(&path, r);
+    }
+
+    #[test]
+    fn same_size_rewrite_with_new_mtime_is_source_changed() {
+        let (path, r) = load_after("rewrite", |p| {
+            let planned = std::fs::metadata(p).unwrap().modified().unwrap();
+            std::fs::write(p, br#"{"root": [7, 8, 9]}"#).unwrap();
+            let f = std::fs::OpenOptions::new().write(true).open(p).unwrap();
+            f.set_modified(planned + Duration::from_secs(10)).unwrap();
+        });
+        assert_changed(&path, r);
+    }
+
+    #[test]
+    fn deleting_a_planned_file_is_an_error_naming_it() {
+        let (path, r) = load_after("delete", |p| std::fs::remove_file(p).unwrap());
+        let err = r.expect_err("a deleted file cannot load").to_string();
+        assert!(err.contains(&path.display().to_string()), "{err}");
     }
 
     #[test]

@@ -177,6 +177,32 @@ fn memory_budget_trips_on_naive_plans() {
 }
 
 #[test]
+fn naive_scan_frees_its_grants_when_a_later_file_fails() {
+    // The naive scan charges each parsed file as it goes; a file failing
+    // after them must not leave those grants behind.
+    let root = scratch("naive-leak");
+    let dir = root.join("sensors/node0");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(
+        dir.join("a_good.json"),
+        br#"{"root": [{"date": "2001-01-01T00:00:00.000", "dataType": "TMIN", "value": 1}]}"#,
+    )
+    .unwrap();
+    std::fs::write(dir.join("b_broken.json"), br#"{"root": [{"#).unwrap();
+    let e = Engine::new(EngineConfig {
+        rules: algebra::rules::RuleConfig::none(),
+        data_root: root,
+        ..Default::default()
+    });
+    assert!(matches!(
+        e.execute(queries::Q0),
+        Err(EngineError::Execute(_))
+    ));
+    assert_eq!(e.memory().current(), 0, "grants leaked by the failed scan");
+    assert_eq!(e.memory().cached(), 0);
+}
+
+#[test]
 fn deeply_nested_input_does_not_overflow() {
     let root = scratch("deep");
     let dir = root.join("sensors/node0");

@@ -175,3 +175,50 @@ fn trace_covers_lifecycle_and_round_trips_as_json() {
         .count();
     assert_eq!(n, events.len());
 }
+
+/// Each whole-file load is charged to the scan cache only while it is
+/// resident: eight equally shaped files scanned one after another on one
+/// partition peak at about one file's load, not eight.
+#[test]
+fn whole_file_loads_are_released_per_file() {
+    let eight = std::env::temp_dir().join("vxq-observability-release-8");
+    let one = std::env::temp_dir().join("vxq-observability-release-1");
+    for root in [&eight, &one] {
+        let _ = std::fs::remove_dir_all(root);
+    }
+    SensorSpec {
+        files_per_node: 8,
+        records_per_file: 20,
+        measurements_per_array: 10,
+        ..SensorSpec::default()
+    }
+    .generate(&eight.join("sensors"))
+    .expect("generate dataset");
+    let mut files: Vec<PathBuf> = std::fs::read_dir(eight.join("sensors/node0"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), 8);
+    std::fs::create_dir_all(one.join("sensors/node0")).unwrap();
+    std::fs::copy(&files[0], one.join("sensors/node0/part0.json")).unwrap();
+    let peak_cached = |root: &PathBuf| {
+        let e = Engine::new(EngineConfig {
+            cluster: ClusterSpec::single_node(1),
+            data_root: root.clone(),
+            ..EngineConfig::default()
+        });
+        let r = e.execute(queries::Q0).unwrap();
+        assert_eq!(e.memory().cached(), 0, "every load released by job end");
+        r.stats.peak_cached
+    };
+    let (all, single) = (peak_cached(&eight), peak_cached(&one));
+    assert!(
+        single > 0,
+        "a whole-file load is charged to the cache class"
+    );
+    assert!(
+        all < 2 * single,
+        "8 files peaked at {all} cached bytes, one file at {single}"
+    );
+}
