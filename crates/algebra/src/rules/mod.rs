@@ -13,7 +13,7 @@
 //! | pipelining | [`pipelining::IntroduceDataScan`], [`pipelining::PushValueIntoDataScan`], [`pipelining::PushKeysOrMembersIntoDataScan`] |
 //! | group-by | [`groupby::RemoveTreat`], [`groupby::ConvertScalarAggregateToSubplan`], [`groupby::PushSubplanAggregateIntoGroupBy`] |
 //!
-//! Two-step aggregation (the rule "introduced in [17]" that the group-by
+//! Two-step aggregation (the rule "introduced in \[17\]" that the group-by
 //! family activates) is a physical-planning decision; [`RuleConfig`]
 //! carries the flag and the job compiler honours it.
 

@@ -6,7 +6,7 @@ use algebra::rules::RuleConfig;
 use dataflow::ClusterSpec;
 
 /// Two-step (local/global) aggregation on/off, on a multi-partition
-/// cluster. The paper activates the rule "introduced in [17]" as part of
+/// cluster. The paper activates the rule "introduced in \[17\]" as part of
 /// the group-by family; this isolates its contribution.
 pub fn two_step(h: &Harness) -> Vec<Table> {
     let spec = h.sensor_spec(2 * 1024 * 1024, 2, 30);

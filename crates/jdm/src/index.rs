@@ -10,14 +10,14 @@
 //!
 //! Two properties matter for the engine:
 //!
-//! * **Validation parity.** The builder accepts exactly the documents the
-//!   event parser ([`crate::parse::EventParser`]) accepts — same number
-//!   grammar, same string escape/surrogate/UTF-8 rules (the code is
-//!   shared), same literal spelling, same nesting-depth limit, same
-//!   "single value, no trailing bytes" contract. The differential test
-//!   suite relies on this: index-guided projection must error exactly
-//!   when a full tree parse errors, even for malformed bytes inside
-//!   subtrees the projection would skip.
+//! * **One validator.** The builder is the only grammar check on the
+//!   engine's paths: [`crate::parse::parse_item`] (the naive scans, the
+//!   baseline loaders) and the projected scans all build this index, so a
+//!   malformed file fails every plan with the same error at the same
+//!   offset — even for malformed bytes inside subtrees a projection would
+//!   skip. The tests hold it to the independent event parser in
+//!   [`crate::oracle`]: the same documents accepted, equal items built
+//!   from the tape, and equal errors (variant, message and offset).
 //! * **Record boundaries.** [`StructuralIndex::members`] exposes the
 //!   member spans of any array on the tape, which is what lets the scan
 //!   layer assign record-aligned byte ranges of one file to different
@@ -31,8 +31,7 @@ use crate::binary::{tag, write_len_prefixed, write_number, ContainerWriter};
 use crate::error::{JdmError, Result};
 use crate::item::Item;
 use crate::number::Number;
-use crate::parse::{number_at, parse_string_at, scan_number_at};
-use crate::parse::{Event, EventParser, TreeBuilder, MAX_DEPTH};
+use crate::parse::{number_at, parse_string_at, scan_number_at, MAX_DEPTH};
 use crate::stage1::{IndexScanner, Stage1Mode};
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -89,7 +88,7 @@ pub struct StructuralIndex {
 
 impl StructuralIndex {
     /// Build the index over one complete JSON value (trailing bytes after
-    /// the value are an error, matching [`crate::parse::parse_item`]).
+    /// the value are an error).
     /// The stage-1 mode follows the process-wide `VXQ_STAGE1` setting;
     /// use [`StructuralIndex::build_with`] to pin it.
     pub fn build(buf: &[u8]) -> Result<Self> {
@@ -238,12 +237,34 @@ impl StructuralIndex {
         }
     }
 
-    /// Materialize the value at `node` into an [`Item`]. The span was
-    /// already validated at build time, so this cannot fail structurally.
+    /// Materialize the value at `node` into an [`Item`], straight from the
+    /// tape: strings and keys decode through [`StructuralIndex::str_at`],
+    /// numbers through [`StructuralIndex::number_at`], and containers are
+    /// sized from their member or key count. A key node materializes as
+    /// its string. Recursion is bounded by the build's nesting limit.
     pub fn item_at(&self, buf: &[u8], node: usize) -> Result<Item> {
-        let (s, e) = self.span(node);
-        let mut p = EventParser::new(&buf[s..e]);
-        TreeBuilder::build(&mut p)
+        let e = self.tape[node];
+        Ok(match e.kind {
+            TapeKind::Null => Item::Null,
+            TapeKind::Bool => Item::Boolean(buf[e.start as usize] == b't'),
+            TapeKind::Number => Item::Number(self.number_at(buf, node)?),
+            TapeKind::String | TapeKind::Key => Item::String(self.str_at(buf, node)?.into()),
+            TapeKind::ArrayOpen => {
+                let mut items = Vec::with_capacity(self.members_iter(node).count());
+                for m in self.members_iter(node) {
+                    items.push(self.item_at(buf, m)?);
+                }
+                Item::Array(items)
+            }
+            TapeKind::ObjectOpen => {
+                let mut pairs = Vec::with_capacity(self.keys_iter(node).count());
+                for key in self.keys_iter(node) {
+                    pairs.push((self.str_at(buf, key)?.into(), self.item_at(buf, key + 1)?));
+                }
+                Item::Object(pairs)
+            }
+            TapeKind::ObjectClose | TapeKind::ArrayClose => return Err(not_a_value(e)),
+        })
     }
 
     /// Serialize the value at `node` onto `out` in the binary item format
@@ -276,31 +297,28 @@ impl StructuralIndex {
                 c.finish(out);
             }
             TapeKind::ObjectOpen => {
-                let close = e.pair as usize;
-                let mut count = 0;
-                let mut key = node + 1;
-                while key < close {
-                    count += 1;
-                    key = self.skip(key + 1);
-                }
-                let mut c = ContainerWriter::begin(tag::OBJECT, count, out);
-                let mut key = node + 1;
-                while key < close {
+                let mut c = ContainerWriter::begin(tag::OBJECT, self.keys_iter(node).count(), out);
+                for key in self.keys_iter(node) {
                     c.member(out);
                     self.write_str_payload(buf, key, out)?;
                     self.write_binary_at(buf, key + 1, out)?;
-                    key = self.skip(key + 1);
                 }
                 c.finish(out);
             }
-            TapeKind::ObjectClose | TapeKind::ArrayClose => {
-                return Err(JdmError::parse(
-                    e.start as usize,
-                    "not at the start of a value",
-                ))
-            }
+            TapeKind::ObjectClose | TapeKind::ArrayClose => return Err(not_a_value(e)),
         }
         Ok(())
+    }
+
+    /// Tape indices of the keys of the object at `node` (an object open);
+    /// each key's value is the entry right after it.
+    fn keys_iter(&self, node: usize) -> impl Iterator<Item = usize> + '_ {
+        let close = self.tape[node].pair as usize;
+        let first = (node + 1 < close).then_some(node + 1);
+        std::iter::successors(first, move |&key| {
+            let next = self.skip(key + 1);
+            (next < close).then_some(next)
+        })
     }
 
     /// The length-prefixed payload of the key or string at `node`.
@@ -332,31 +350,15 @@ impl StructuralIndex {
         Ok(parse_string_at(buf, e.start as usize)?.0 == wanted)
     }
 
-    /// Replay the tape as the [`Event`] stream the event parser would
-    /// produce for the same bytes (tape-driven consumers; differential
-    /// tests pin this equivalence).
-    pub fn events<'a>(&self, buf: &'a [u8]) -> Result<Vec<Event<'a>>> {
-        let mut out = Vec::with_capacity(self.tape.len());
-        for e in &self.tape {
-            out.push(match e.kind {
-                TapeKind::ObjectOpen => Event::StartObject,
-                TapeKind::ObjectClose => Event::EndObject,
-                TapeKind::ArrayOpen => Event::StartArray,
-                TapeKind::ArrayClose => Event::EndArray,
-                TapeKind::Key => Event::Key(parse_string_at(buf, e.start as usize)?.0),
-                TapeKind::String => Event::String(parse_string_at(buf, e.start as usize)?.0),
-                TapeKind::Number => Event::Number(number_at(buf, e.start as usize)?.0),
-                TapeKind::Bool => Event::Bool(buf[e.start as usize] == b't'),
-                TapeKind::Null => Event::Null,
-            });
-        }
-        Ok(out)
-    }
-
     /// The number value at a [`TapeKind::Number`] entry.
     pub fn number_at(&self, buf: &[u8], node: usize) -> Result<Number> {
         Ok(number_at(buf, self.tape[node].start as usize)?.0)
     }
+}
+
+/// The error for materializing a container's close entry.
+fn not_a_value(e: TapeEntry) -> JdmError {
+    JdmError::parse(e.start as usize, "not at the start of a value")
 }
 
 /// Zero-alloc iterator over an array's member tape indices; see
@@ -695,7 +697,7 @@ impl Builder<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse::parse_item;
+    use crate::oracle;
 
     fn idx(src: &str) -> StructuralIndex {
         StructuralIndex::build(src.as_bytes()).unwrap()
@@ -740,12 +742,22 @@ mod tests {
 
     #[test]
     fn item_at_materializes_subtrees() {
-        let src = r#"{"a": [1, {"b": "x"}]}"#;
+        let src = r#"{"a": [1, {"b": "x\n"}], "c": {}, "d": [], "é": -0}"#;
         let t = idx(src);
-        let whole = t.item_at(src.as_bytes(), t.root()).unwrap();
-        assert_eq!(whole, parse_item(src.as_bytes()).unwrap());
+        let buf = src.as_bytes();
+        for node in 0..t.len() {
+            if matches!(
+                t.tape()[node].kind,
+                TapeKind::ObjectClose | TapeKind::ArrayClose
+            ) {
+                continue;
+            }
+            let (s, e) = t.span(node);
+            let reference = oracle::parse_item(&buf[s..e]).unwrap();
+            assert_eq!(t.item_at(buf, node).unwrap(), reference, "node {node}");
+        }
         let arr_node = 2; // after ObjectOpen, Key
-        let arr = t.item_at(src.as_bytes(), arr_node).unwrap();
+        let arr = t.item_at(buf, arr_node).unwrap();
         assert_eq!(arr.get_index(0), Some(&Item::int(1)));
     }
 
@@ -769,18 +781,6 @@ mod tests {
     }
 
     #[test]
-    fn events_match_event_parser() {
-        let src = r#"{"k\n": [1.5, "sé", true, null, -0], "z": {}}"#;
-        let t = idx(src);
-        let mut p = EventParser::new(src.as_bytes());
-        let mut reference = Vec::new();
-        while let Some(ev) = p.next_event().unwrap() {
-            reference.push(ev);
-        }
-        assert_eq!(t.events(src.as_bytes()).unwrap(), reference);
-    }
-
-    #[test]
     fn rejects_what_the_event_parser_rejects() {
         for src in [
             "",
@@ -796,15 +796,12 @@ mod tests {
             "[1 2]",
             "nul",
             "\"a\x01b\"",
+            r#"{"a""#,
         ] {
-            assert!(
-                StructuralIndex::build(src.as_bytes()).is_err(),
-                "index accepted {src:?}"
-            );
-            assert!(
-                parse_item(src.as_bytes()).is_err(),
-                "parser accepted {src:?}"
-            );
+            let index = StructuralIndex::build(src.as_bytes()).map(|_| ());
+            let reference = oracle::parse_item(src.as_bytes()).map(|_| ());
+            assert!(index.is_err(), "index accepted {src:?}");
+            assert_eq!(index, reference, "{src:?}");
         }
     }
 

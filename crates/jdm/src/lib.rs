@@ -10,8 +10,9 @@
 //! * [`Item`] — the tree model of a JSONiq item (JSON values plus the
 //!   `dateTime` atomic from the XQuery type system and the XQuery
 //!   *sequence*, which JSONiq layers on top of JSON).
-//! * [`parse`] — a from-scratch, event-based (SAX-style) JSON parser with
-//!   zero-copy string handling, plus a tree builder on top of it.
+//! * [`parse`] — [`parse::parse_item`], the whole-document parse (index
+//!   build, then a tape walk into an [`Item`]), and the string and number
+//!   lexers that every reader of JSON text shares.
 //! * [`index`] — the **structural index**: a validating one-pass scan that
 //!   records every structural token (string spans, container open/close
 //!   pairs) into a flat tape, so navigation skips subtrees in O(1)
@@ -29,6 +30,8 @@
 //! * [`binary`] — a tagged binary serialization with constant-time array
 //!   indexing and zero-copy [`binary::ItemRef`] navigation, used to move
 //!   items through dataflow frames (the Hyracks "pointable" analog).
+//! * [`oracle`] — the event-based (SAX-style) parser, kept only as the
+//!   independent reference that tests compare the tape against.
 //! * [`datetime`] — the `xs:dateTime` subset needed by the paper's queries
 //!   (`dateTime()`, `year-/month-/day-from-dateTime`).
 //!
@@ -52,6 +55,7 @@ pub mod error;
 pub mod index;
 pub mod item;
 pub mod number;
+pub mod oracle;
 pub mod parse;
 pub mod path;
 pub mod project;

@@ -1,29 +1,77 @@
-//! Event-based (SAX-style) JSON parser.
-//!
-//! Written from scratch — the paper's system integrates a streaming parser
-//! (Jackson) whose events feed the dataflow operators, and the CPU-bound
-//! nature of parsing drives the single-node speed-up experiment (Fig. 17),
-//! so the parser is part of the reproduction surface.
-//!
-//! Design points:
-//! * operates on a byte slice; strings are borrowed (`Cow::Borrowed`) unless
-//!   they contain escapes;
-//! * a [`EventParser::skip_value`] fast path skips a whole value without
-//!   unescaping strings or parsing numbers — this is what makes projection
-//!   cheap;
-//! * strict: trailing garbage, bad escapes, bad numbers, and unbalanced
-//!   structure are errors with byte offsets.
+//! The event-based (SAX-style) parser and the tree build on top of it,
+//! published as [`crate::oracle`] (see there for its role). Strict:
+//! trailing garbage, bad escapes, bad numbers and unbalanced structure are
+//! errors with byte offsets.
 
+use super::{number_at, parse_string_at, MAX_DEPTH};
 use crate::error::{JdmError, Result};
+use crate::item::Item;
 use crate::number::Number;
 use std::borrow::Cow;
 
-/// Maximum container nesting depth accepted by the parsers. Both the event
-/// parser and the structural-index builder enforce the same limit so the
-/// two stages agree on which documents are well-formed, and so the
-/// recursive tree builder cannot blow the thread stack on adversarial
-/// input.
-pub const MAX_DEPTH: usize = 512;
+/// Parse one complete JSON value (the whole input) into an [`Item`] by
+/// building it from the event stream.
+pub fn parse_item(buf: &[u8]) -> Result<Item> {
+    let mut p = EventParser::new(buf);
+    let item = build_value(&mut p)?;
+    p.finish()?;
+    Ok(item)
+}
+
+fn build_value(p: &mut EventParser<'_>) -> Result<Item> {
+    let ev = p
+        .next_event()?
+        .ok_or(JdmError::UnexpectedEof { offset: p.offset() })?;
+    build_from(p, ev)
+}
+
+/// Build the value whose first event, `start`, was already consumed.
+fn build_from(p: &mut EventParser<'_>, start: Event<'_>) -> Result<Item> {
+    match start {
+        Event::StartObject => build_object(p),
+        Event::StartArray => build_array(p),
+        Event::String(s) => Ok(Item::String(s.as_ref().into())),
+        Event::Number(n) => Ok(Item::Number(n)),
+        Event::Bool(b) => Ok(Item::Boolean(b)),
+        Event::Null => Ok(Item::Null),
+        Event::Key(_) | Event::EndObject | Event::EndArray => {
+            Err(JdmError::parse(p.offset(), "not at the start of a value"))
+        }
+    }
+}
+
+fn build_object(p: &mut EventParser<'_>) -> Result<Item> {
+    let mut pairs = Vec::new();
+    loop {
+        match p.next_event()? {
+            Some(Event::EndObject) => return Ok(Item::Object(pairs)),
+            Some(Event::Key(k)) => {
+                let v = build_value(p)?;
+                pairs.push((k.as_ref().into(), v));
+            }
+            Some(other) => {
+                return Err(JdmError::parse(
+                    p.offset(),
+                    format!("unexpected {other:?} in object"),
+                ))
+            }
+            None => return Err(JdmError::UnexpectedEof { offset: p.offset() }),
+        }
+    }
+}
+
+fn build_array(p: &mut EventParser<'_>) -> Result<Item> {
+    let mut items = Vec::new();
+    loop {
+        let ev = p
+            .next_event()?
+            .ok_or(JdmError::UnexpectedEof { offset: p.offset() })?;
+        if matches!(ev, Event::EndArray) {
+            return Ok(Item::Array(items));
+        }
+        items.push(build_from(p, ev)?);
+    }
+}
 
 /// One JSON structural event.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,12 +134,6 @@ impl<'a> EventParser<'a> {
         self.pos
     }
 
-    /// Current nesting depth.
-    #[inline]
-    pub fn depth(&self) -> usize {
-        self.stack.len()
-    }
-
     /// Produce the next event, or `Ok(None)` at the end of a complete value.
     pub fn next_event(&mut self) -> Result<Option<Event<'a>>> {
         if self.done {
@@ -132,7 +174,10 @@ impl<'a> EventParser<'a> {
                 }
                 let key = self.parse_string()?;
                 self.skip_ws();
-                if self.pos >= self.buf.len() || self.buf[self.pos] != b':' {
+                if self.pos >= self.buf.len() {
+                    return Err(JdmError::UnexpectedEof { offset: self.pos });
+                }
+                if self.buf[self.pos] != b':' {
                     return Err(JdmError::parse(self.pos, "expected ':' after key"));
                 }
                 self.pos += 1;
@@ -172,74 +217,6 @@ impl<'a> EventParser<'a> {
         }
 
         self.parse_value().map(Some)
-    }
-
-    /// After the *start* of a value has been consumed (`StartObject` /
-    /// `StartArray` event already returned), skip to the matching end
-    /// without materializing anything. When called right before a value,
-    /// skips the whole value. `depth_at_entry` should be `self.depth()`
-    /// captured before the value's opening event; here we provide the
-    /// common form: skip one complete value from value position.
-    pub fn skip_value(&mut self) -> Result<()> {
-        // We must be positioned at the start of a value (value position).
-        self.skip_ws();
-        let start_depth = self.stack.len();
-        // Consume the first event of the value.
-        let ev = self
-            .next_event()?
-            .ok_or(JdmError::UnexpectedEof { offset: self.pos })?;
-        match ev {
-            Event::StartObject | Event::StartArray => {
-                // Fast byte-level scan to the matching close bracket.
-                self.raw_skip_to_depth(start_depth)
-            }
-            _ => Ok(()), // atomic: already consumed
-        }
-    }
-
-    /// Skip bytes until nesting depth returns to `target_depth`, honouring
-    /// strings and escapes but not validating contents (fast path).
-    fn raw_skip_to_depth(&mut self, target_depth: usize) -> Result<()> {
-        let mut depth = self.stack.len();
-        debug_assert!(depth > target_depth);
-        while self.pos < self.buf.len() {
-            match self.buf[self.pos] {
-                b'"' => {
-                    self.raw_skip_string()?;
-                    continue;
-                }
-                b'{' | b'[' => depth += 1,
-                b'}' | b']' => {
-                    depth -= 1;
-                    if depth == target_depth {
-                        // Reconcile parser state: pop frames we skipped.
-                        self.stack.truncate(target_depth);
-                        self.pos += 1;
-                        self.note_value();
-                        return Ok(());
-                    }
-                }
-                _ => {}
-            }
-            self.pos += 1;
-        }
-        Err(JdmError::UnexpectedEof { offset: self.pos })
-    }
-
-    fn raw_skip_string(&mut self) -> Result<()> {
-        debug_assert_eq!(self.buf[self.pos], b'"');
-        self.pos += 1;
-        while self.pos < self.buf.len() {
-            match self.buf[self.pos] {
-                b'\\' => self.pos += 2,
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => self.pos += 1,
-            }
-        }
-        Err(JdmError::UnexpectedEof { offset: self.pos })
     }
 
     /// Mark that a complete value just finished at the current level.
@@ -361,185 +338,6 @@ impl<'a> EventParser<'a> {
     }
 }
 
-/// Scan a number token's grammar starting at `start`; returns the end
-/// offset and whether the literal has a fraction or exponent. Shared by
-/// the event parser and the structural-index builder so both accept
-/// exactly the same number grammar. Digit runs advance eight bytes at a
-/// time via the SWAR helper in [`crate::stage1`] — positions only, so
-/// the grammar is unchanged by construction.
-pub(crate) fn scan_number_at(b: &[u8], start: usize) -> Result<(usize, bool)> {
-    let mut i = start;
-    if i < b.len() && b[i] == b'-' {
-        i += 1;
-    }
-    let int_start = i;
-    i = crate::stage1::digit_run_end(b, i);
-    if i == int_start {
-        return Err(JdmError::BadNumber { offset: start });
-    }
-    // Leading zero rule: "0" alone or "0." is ok, "01" is not.
-    if b[int_start] == b'0' && i - int_start > 1 {
-        return Err(JdmError::BadNumber { offset: start });
-    }
-    let mut is_double = false;
-    if i < b.len() && b[i] == b'.' {
-        is_double = true;
-        i += 1;
-        let frac_start = i;
-        i = crate::stage1::digit_run_end(b, i);
-        if i == frac_start {
-            return Err(JdmError::BadNumber { offset: start });
-        }
-    }
-    if i < b.len() && (b[i] == b'e' || b[i] == b'E') {
-        is_double = true;
-        i += 1;
-        if i < b.len() && (b[i] == b'+' || b[i] == b'-') {
-            i += 1;
-        }
-        let exp_start = i;
-        i = crate::stage1::digit_run_end(b, i);
-        if i == exp_start {
-            return Err(JdmError::BadNumber { offset: start });
-        }
-    }
-    Ok((i, is_double))
-}
-
-/// Parse and convert a number token; returns the value and the end offset.
-pub(crate) fn number_at(b: &[u8], start: usize) -> Result<(Number, usize)> {
-    let (end, is_double) = scan_number_at(b, start)?;
-    // SAFETY of from_utf8: the scanned range contains only ASCII.
-    let text = std::str::from_utf8(&b[start..end]).expect("ASCII number text");
-    if !is_double {
-        if let Ok(v) = text.parse::<i64>() {
-            return Ok((Number::Int(v), end));
-        }
-        // Integer overflow: fall through to double.
-    }
-    text.parse::<f64>()
-        .map(|v| (Number::Double(v), end))
-        .map_err(|_| JdmError::BadNumber { offset: start })
-}
-
-/// Parse (and fully validate) a string literal whose opening quote is at
-/// `start_quote`; returns the decoded string and the offset just past the
-/// closing quote. Borrows when no escapes are present. Shared by the
-/// event parser and the structural-index builder so string validation —
-/// escapes, surrogate pairing, control characters, UTF-8 — is identical
-/// in both stages.
-pub(crate) fn parse_string_at(b: &[u8], start_quote: usize) -> Result<(Cow<'_, str>, usize)> {
-    debug_assert_eq!(b[start_quote], b'"');
-    let start = start_quote + 1;
-    let mut i = start;
-    // Fast scan for a clean (escape-free) string.
-    while i < b.len() {
-        match b[i] {
-            b'"' => {
-                let s = std::str::from_utf8(&b[start..i])
-                    .map_err(|_| JdmError::BadUtf8 { offset: start })?;
-                return Ok((Cow::Borrowed(s), i + 1));
-            }
-            b'\\' => break,
-            0x00..=0x1F => return Err(JdmError::parse(i, "unescaped control character in string")),
-            _ => i += 1,
-        }
-    }
-    if i >= b.len() {
-        return Err(JdmError::UnexpectedEof { offset: i });
-    }
-    // Slow path with unescaping.
-    let mut out = String::with_capacity(i - start + 16);
-    out.push_str(
-        std::str::from_utf8(&b[start..i]).map_err(|_| JdmError::BadUtf8 { offset: start })?,
-    );
-    while i < b.len() {
-        match b[i] {
-            b'"' => {
-                return Ok((Cow::Owned(out), i + 1));
-            }
-            b'\\' => {
-                i += 1;
-                if i >= b.len() {
-                    return Err(JdmError::UnexpectedEof { offset: i });
-                }
-                match b[i] {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'b' => out.push('\u{0008}'),
-                    b'f' => out.push('\u{000C}'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let cp = parse_hex4(b, i + 1)?;
-                        i += 4;
-                        if (0xD800..0xDC00).contains(&cp) {
-                            // High surrogate: require a following \uXXXX low half.
-                            if i + 6 < b.len() && b[i + 1] == b'\\' && b[i + 2] == b'u' {
-                                let lo = parse_hex4(b, i + 3)?;
-                                i += 6;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(JdmError::parse(i, "bad low surrogate"));
-                                }
-                                let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                out.push(
-                                    char::from_u32(c)
-                                        .ok_or_else(|| JdmError::parse(i, "bad surrogate pair"))?,
-                                );
-                            } else {
-                                return Err(JdmError::parse(i, "lone high surrogate"));
-                            }
-                        } else if (0xDC00..0xE000).contains(&cp) {
-                            return Err(JdmError::parse(i, "lone low surrogate"));
-                        } else {
-                            out.push(
-                                char::from_u32(cp)
-                                    .ok_or_else(|| JdmError::parse(i, "bad \\u escape"))?,
-                            );
-                        }
-                    }
-                    other => {
-                        return Err(JdmError::parse(
-                            i,
-                            format!("bad escape '\\{}'", other as char),
-                        ))
-                    }
-                }
-                i += 1;
-            }
-            0x00..=0x1F => return Err(JdmError::parse(i, "unescaped control character in string")),
-            _ => {
-                // Copy a run of plain bytes (handles multi-byte UTF-8).
-                let run_start = i;
-                while i < b.len() && !matches!(b[i], b'"' | b'\\' | 0x00..=0x1F) {
-                    i += 1;
-                }
-                out.push_str(
-                    std::str::from_utf8(&b[run_start..i])
-                        .map_err(|_| JdmError::BadUtf8 { offset: run_start })?,
-                );
-            }
-        }
-    }
-    Err(JdmError::UnexpectedEof { offset: i })
-}
-
-fn parse_hex4(b: &[u8], at: usize) -> Result<u32> {
-    if at + 4 > b.len() {
-        return Err(JdmError::UnexpectedEof { offset: at });
-    }
-    let mut v = 0u32;
-    for j in 0..4 {
-        let d = (b[at + j] as char)
-            .to_digit(16)
-            .ok_or_else(|| JdmError::parse(at + j, "bad hex digit in \\u escape"))?;
-        v = v * 16 + d;
-    }
-    Ok(v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -651,31 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn skip_value_skips_nested_structure() {
-        let src = r#"{"skip": {"deep": [1, {"x": "}]"}]}, "keep": 7}"#;
-        let mut p = EventParser::new(src.as_bytes());
-        assert_eq!(p.next_event().unwrap(), Some(Event::StartObject));
-        assert_eq!(p.next_event().unwrap(), Some(Event::Key("skip".into())));
-        p.skip_value().unwrap();
-        assert_eq!(p.next_event().unwrap(), Some(Event::Key("keep".into())));
-        assert_eq!(p.next_event().unwrap(), Some(Event::Number(Number::Int(7))));
-        assert_eq!(p.next_event().unwrap(), Some(Event::EndObject));
-        assert_eq!(p.next_event().unwrap(), None);
-    }
-
-    #[test]
-    fn skip_value_on_atomics() {
-        let src = r#"[1, "two", true, null, 5]"#;
-        let mut p = EventParser::new(src.as_bytes());
-        p.next_event().unwrap(); // [
-        for _ in 0..4 {
-            p.skip_value().unwrap();
-        }
-        assert_eq!(p.next_event().unwrap(), Some(Event::Number(Number::Int(5))));
-        assert_eq!(p.next_event().unwrap(), Some(Event::EndArray));
-    }
-
-    #[test]
     fn integer_overflow_becomes_double() {
         let evs = events("123456789012345678901234567890");
         match &evs[0] {
@@ -688,8 +461,17 @@ mod tests {
     fn eof_after_separator_is_an_error_not_a_panic() {
         // Regression (found by the differential fuzzer): a buffer ending
         // right after a comma fell through to value parsing without an
-        // EOF check and indexed past the end.
-        for src in ["[1,", "[1, ", r#"{"a":1,"b":"#, "[", r#"{"a":"#] {
+        // EOF check and indexed past the end. A buffer ending right after
+        // a key is end of input too, as in the index.
+        for src in [
+            "[1,",
+            "[1, ",
+            r#"{"a":1,"b":"#,
+            "[",
+            r#"{"a":"#,
+            r#"{"a""#,
+            r#"{"a" "#,
+        ] {
             let mut p = EventParser::new(src.as_bytes());
             let err = loop {
                 match p.next_event() {

@@ -1,128 +1,15 @@
-//! Tree builder: [`Event`] stream → [`Item`].
+//! Whole-document parse: index build, then a tape walk into an [`Item`].
 
-use super::event::{Event, EventParser};
-use crate::error::{JdmError, Result};
+use crate::error::Result;
+use crate::index::StructuralIndex;
 use crate::item::Item;
 
-/// Parse one complete JSON value (the whole input) into an [`Item`].
+/// Parse one complete JSON value (the whole input) into an [`Item`]. The
+/// structural index validates the bytes, and
+/// [`StructuralIndex::item_at`] builds the item from its tape.
 pub fn parse_item(buf: &[u8]) -> Result<Item> {
-    let mut p = EventParser::new(buf);
-    let item = build_value(&mut p)?;
-    p.finish()?;
-    Ok(item)
-}
-
-/// Parse a stream of *concatenated or newline-delimited* JSON values
-/// (NDJSON-style), as used for unwrapped document collections.
-pub fn parse_many(buf: &[u8]) -> Result<Vec<Item>> {
-    let mut out = Vec::new();
-    let mut rest = buf;
-    let mut consumed = 0usize;
-    loop {
-        // Skip inter-value whitespace manually.
-        let mut i = 0;
-        while i < rest.len() && matches!(rest[i], b' ' | b'\t' | b'\n' | b'\r') {
-            i += 1;
-        }
-        rest = &rest[i..];
-        consumed += i;
-        if rest.is_empty() {
-            return Ok(out);
-        }
-        let mut p = EventParser::new(rest);
-        let item = build_value(&mut p).map_err(|e| shift_error(e, consumed))?;
-        let used = p.offset();
-        out.push(item);
-        rest = &rest[used..];
-        consumed += used;
-    }
-}
-
-fn shift_error(e: JdmError, base: usize) -> JdmError {
-    match e {
-        JdmError::Parse { offset, msg } => JdmError::Parse {
-            offset: offset + base,
-            msg,
-        },
-        JdmError::UnexpectedEof { offset } => JdmError::UnexpectedEof {
-            offset: offset + base,
-        },
-        JdmError::BadNumber { offset } => JdmError::BadNumber {
-            offset: offset + base,
-        },
-        JdmError::BadUtf8 { offset } => JdmError::BadUtf8 {
-            offset: offset + base,
-        },
-        other => other,
-    }
-}
-
-/// Incremental tree construction driven from the event stream — used both
-/// here and by the projecting parser when a matching subtree must be
-/// materialized.
-pub struct TreeBuilder;
-
-impl TreeBuilder {
-    /// Build the value whose first event has *not* yet been consumed.
-    pub fn build(p: &mut EventParser<'_>) -> Result<Item> {
-        build_value(p)
-    }
-
-    /// Build the remainder of a container whose opening event was already
-    /// consumed (`start` is that event).
-    pub fn build_from_start(p: &mut EventParser<'_>, start: &Event<'_>) -> Result<Item> {
-        match start {
-            Event::StartObject => build_object(p),
-            Event::StartArray => build_array(p),
-            Event::String(s) => Ok(Item::String(s.as_ref().into())),
-            Event::Number(n) => Ok(Item::Number(*n)),
-            Event::Bool(b) => Ok(Item::Boolean(*b)),
-            Event::Null => Ok(Item::Null),
-            Event::Key(_) | Event::EndObject | Event::EndArray => {
-                Err(JdmError::parse(p.offset(), "not at the start of a value"))
-            }
-        }
-    }
-}
-
-fn build_value(p: &mut EventParser<'_>) -> Result<Item> {
-    let ev = p
-        .next_event()?
-        .ok_or(JdmError::UnexpectedEof { offset: p.offset() })?;
-    TreeBuilder::build_from_start(p, &ev)
-}
-
-fn build_object(p: &mut EventParser<'_>) -> Result<Item> {
-    let mut pairs = Vec::new();
-    loop {
-        match p.next_event()? {
-            Some(Event::EndObject) => return Ok(Item::Object(pairs)),
-            Some(Event::Key(k)) => {
-                let v = build_value(p)?;
-                pairs.push((k.as_ref().into(), v));
-            }
-            Some(other) => {
-                return Err(JdmError::parse(
-                    p.offset(),
-                    format!("unexpected {other:?} in object"),
-                ))
-            }
-            None => return Err(JdmError::UnexpectedEof { offset: p.offset() }),
-        }
-    }
-}
-
-fn build_array(p: &mut EventParser<'_>) -> Result<Item> {
-    let mut items = Vec::new();
-    loop {
-        let ev = p
-            .next_event()?
-            .ok_or(JdmError::UnexpectedEof { offset: p.offset() })?;
-        if matches!(ev, Event::EndArray) {
-            return Ok(Item::Array(items));
-        }
-        items.push(TreeBuilder::build_from_start(p, &ev)?);
-    }
+    let index = StructuralIndex::build(buf)?;
+    index.item_at(buf, index.root())
 }
 
 #[cfg(test)]
@@ -156,23 +43,6 @@ mod tests {
     fn rejects_trailing_garbage() {
         assert!(parse_item(b"{} x").is_err());
         assert!(parse_item(b"1 2").is_err());
-    }
-
-    #[test]
-    fn parse_many_reads_concatenated_values() {
-        let items = parse_many(b"{\"a\":1}\n{\"a\":2}\n  {\"a\":3}").unwrap();
-        assert_eq!(items.len(), 3);
-        assert_eq!(items[2].get_key("a").unwrap(), &Item::int(3));
-    }
-
-    #[test]
-    fn parse_many_empty_input() {
-        assert_eq!(parse_many(b"  \n ").unwrap(), Vec::<Item>::new());
-    }
-
-    #[test]
-    fn parse_many_propagates_errors() {
-        assert!(parse_many(b"{\"a\":1} {bad}").is_err());
     }
 
     #[test]

@@ -1,25 +1,28 @@
 //! The path-projecting parser, driven by the structural index.
 //!
-//! [`project_stream`] builds the [`StructuralIndex`] over raw JSON bytes
-//! (one validating pass), then navigates the tape following a
-//! [`ProjectionPath`]: non-matching subtrees are skipped in O(1) via the
-//! tape's pair pointers instead of being re-scanned byte by byte. Only
-//! matching sub-items are materialized. This is the runtime realization
-//! of the paper's extended DATASCAN operator (pipelining rules, §4.2):
-//! with path `("root")()("results")()` over a GHCN sensor file, the sink
-//! sees one measurement object at a time, while `metadata`, sibling keys,
-//! and all non-matching structure cost a single tape jump.
+//! [`project_indexed_nodes`] navigates an already-built
+//! [`StructuralIndex`] following a [`ProjectionPath`]: non-matching
+//! subtrees are skipped in O(1) via the tape's pair pointers instead of
+//! being re-scanned byte by byte, and only the tape index of each match
+//! reaches the caller, who decides how to materialize it (the engine's
+//! scan writes the binary format straight from the tape). This is the
+//! runtime realization of the paper's extended DATASCAN operator
+//! (pipelining rules, §4.2): with path `("root")()("results")()` over a
+//! GHCN sensor file, the sink sees one measurement at a time, while
+//! `metadata`, sibling keys, and all non-matching structure cost a single
+//! tape jump.
 //!
-//! Because the index pass validates the *whole* document (same grammar as
-//! [`crate::parse::parse_item`], shared code), projection now errors on
-//! malformed bytes even inside skipped subtrees — exactly like a full
-//! tree parse would, which is what the differential test suite pins.
+//! Because the index build validates the *whole* document, projection
+//! errors on malformed bytes even inside skipped subtrees, exactly like
+//! [`crate::parse::parse_item`], which builds the same index.
 //!
 //! [`RecordTable`] exposes the document's record boundaries along the
 //! path prefix up to the first `()` step, letting the scan layer project
 //! disjoint record ranges of one file from different partitions
-//! ([`RecordTable::project_range`]); the union over all ranges equals one
-//! whole-file projection.
+//! ([`RecordTable::project_range_nodes`]); the union over all ranges
+//! equals one whole-file projection. [`project_indexed`] and
+//! [`RecordTable::project_range`] are the same walks handing out
+//! [`Item`]s built with [`StructuralIndex::item_at`].
 
 use crate::error::Result;
 use crate::index::{StructuralIndex, TapeKind};
@@ -36,21 +39,10 @@ pub struct ProjectStats {
     pub skipped: usize,
 }
 
-/// Stream every item reachable via `path` from the JSON value in `buf` into
-/// `sink`. Returns statistics. The sink may return `false` to stop early
-/// (used by LIMIT-style consumers and by tests).
-pub fn project_stream(
-    buf: &[u8],
-    path: &ProjectionPath,
-    sink: impl FnMut(Item) -> bool,
-) -> Result<ProjectStats> {
-    let index = StructuralIndex::build(buf)?;
-    project_indexed(buf, &index, path, sink)
-}
-
-/// [`project_stream`] over an already-built index (lets callers amortize
-/// the index across multiple projections or record ranges). Each match
-/// is materialized with [`StructuralIndex::item_at`].
+/// Stream every item reachable via `path` from the indexed JSON value in
+/// `buf` into `sink`, materializing each match with
+/// [`StructuralIndex::item_at`]. Returns statistics. The sink may return
+/// `false` to stop early.
 pub fn project_indexed(
     buf: &[u8],
     index: &StructuralIndex,
@@ -82,16 +74,6 @@ pub fn project_indexed_nodes(
         &mut stats,
     )?;
     Ok(stats)
-}
-
-/// Convenience wrapper collecting all projected items.
-pub fn project_all(buf: &[u8], path: &ProjectionPath) -> Result<Vec<Item>> {
-    let mut out = Vec::new();
-    project_stream(buf, path, |it| {
-        out.push(it);
-        true
-    })?;
-    Ok(out)
 }
 
 /// Recursive step over the tape: `node` is at value position; `steps` is
@@ -333,7 +315,7 @@ impl RecordTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse::parse_item;
+    use crate::oracle;
 
     const SENSOR: &str = r#"{
       "root": [
@@ -353,6 +335,17 @@ mod tests {
       ]
     }"#;
 
+    /// Index `buf` and collect every item `path` projects.
+    fn project(buf: &[u8], path: &ProjectionPath) -> Result<Vec<Item>> {
+        let index = StructuralIndex::build(buf)?;
+        let mut out = Vec::new();
+        project_indexed(buf, &index, path, |it| {
+            out.push(it);
+            true
+        })?;
+        Ok(out)
+    }
+
     fn path(spec: &[&str]) -> ProjectionPath {
         spec.iter()
             .map(|s| match *s {
@@ -366,7 +359,7 @@ mod tests {
     #[test]
     fn projects_measurements() {
         let p = path(&["root", "()", "results", "()"]);
-        let items = project_all(SENSOR.as_bytes(), &p).unwrap();
+        let items = project(SENSOR.as_bytes(), &p).unwrap();
         assert_eq!(items.len(), 3);
         assert_eq!(items[2].get_key("station").unwrap().as_str(), Some("S2"));
     }
@@ -374,7 +367,8 @@ mod tests {
     #[test]
     fn projection_skips_metadata() {
         let p = path(&["root", "()", "results", "()"]);
-        let stats = project_stream(SENSOR.as_bytes(), &p, |_| true).unwrap();
+        let idx = StructuralIndex::build(SENSOR.as_bytes()).unwrap();
+        let stats = project_indexed(SENSOR.as_bytes(), &idx, &p, |_| true).unwrap();
         assert_eq!(stats.emitted, 3);
         // Two "metadata" values skipped.
         assert_eq!(stats.skipped, 2);
@@ -383,9 +377,9 @@ mod tests {
     #[test]
     fn matches_full_parse_then_navigate() {
         let p = path(&["root", "()", "results", "()"]);
-        let streamed = project_all(SENSOR.as_bytes(), &p).unwrap();
-        // Reference: full parse and manual navigation.
-        let tree = parse_item(SENSOR.as_bytes()).unwrap();
+        let streamed = project(SENSOR.as_bytes(), &p).unwrap();
+        // Reference: the oracle's full parse and manual navigation.
+        let tree = oracle::parse_item(SENSOR.as_bytes()).unwrap();
         let mut reference = Vec::new();
         for rec in tree.get_key("root").unwrap().keys_or_members() {
             for m in rec.get_key("results").unwrap().keys_or_members() {
@@ -398,7 +392,7 @@ mod tests {
     #[test]
     fn key_path_extracts_single_field() {
         let p = path(&["root", "()", "results", "()", "date"]);
-        let items = project_all(SENSOR.as_bytes(), &p).unwrap();
+        let items = project(SENSOR.as_bytes(), &p).unwrap();
         assert_eq!(
             items,
             vec![
@@ -412,48 +406,37 @@ mod tests {
     #[test]
     fn index_step_selects_one_member() {
         let p = path(&["root", "#1", "results", "#2", "value"]);
-        let items = project_all(SENSOR.as_bytes(), &p).unwrap();
+        let items = project(SENSOR.as_bytes(), &p).unwrap();
         assert_eq!(items, vec![Item::int(10)]);
     }
 
     #[test]
     fn out_of_range_index_yields_nothing() {
         let p = path(&["root", "#9"]);
-        assert_eq!(
-            project_all(SENSOR.as_bytes(), &p).unwrap(),
-            Vec::<Item>::new()
-        );
+        assert_eq!(project(SENSOR.as_bytes(), &p).unwrap(), Vec::<Item>::new());
     }
 
     #[test]
     fn missing_key_yields_nothing() {
         let p = path(&["nope", "()"]);
-        assert_eq!(
-            project_all(SENSOR.as_bytes(), &p).unwrap(),
-            Vec::<Item>::new()
-        );
+        assert_eq!(project(SENSOR.as_bytes(), &p).unwrap(), Vec::<Item>::new());
     }
 
     #[test]
     fn mismatched_types_yield_nothing() {
         // value step on an array / members step on an object.
         let p = path(&["root", "x"]); // "root" is an array, key step misses
-        assert_eq!(
-            project_all(SENSOR.as_bytes(), &p).unwrap(),
-            Vec::<Item>::new()
-        );
+        assert_eq!(project(SENSOR.as_bytes(), &p).unwrap(), Vec::<Item>::new());
         let p2 = path(&["root", "()", "metadata", "()"]); // () on object => nothing (array form only)
-        assert_eq!(
-            project_all(SENSOR.as_bytes(), &p2).unwrap(),
-            Vec::<Item>::new()
-        );
+        assert_eq!(project(SENSOR.as_bytes(), &p2).unwrap(), Vec::<Item>::new());
     }
 
     #[test]
     fn early_stop() {
         let p = path(&["root", "()", "results", "()"]);
+        let idx = StructuralIndex::build(SENSOR.as_bytes()).unwrap();
         let mut n = 0;
-        project_stream(SENSOR.as_bytes(), &p, |_| {
+        project_indexed(SENSOR.as_bytes(), &idx, &p, |_| {
             n += 1;
             n < 2
         })
@@ -463,7 +446,7 @@ mod tests {
 
     #[test]
     fn root_path_emits_whole_document() {
-        let items = project_all(SENSOR.as_bytes(), &ProjectionPath::root()).unwrap();
+        let items = project(SENSOR.as_bytes(), &ProjectionPath::root()).unwrap();
         assert_eq!(items.len(), 1);
         assert!(items[0].get_key("root").is_some());
     }
@@ -472,7 +455,7 @@ mod tests {
     fn duplicate_keys_project_first() {
         let src = br#"{"a": 1, "a": 2}"#;
         let p = path(&["a"]);
-        assert_eq!(project_all(src, &p).unwrap(), vec![Item::int(1)]);
+        assert_eq!(project(src, &p).unwrap(), vec![Item::int(1)]);
     }
 
     #[test]
@@ -482,8 +465,8 @@ mod tests {
         // like a full tree parse.
         let src = br#"{"skip": [01], "keep": 1}"#;
         let p = path(&["keep"]);
-        assert!(project_stream(src, &p, |_| true).is_err());
-        assert!(parse_item(src).is_err());
+        assert!(project(src, &p).is_err());
+        assert!(oracle::parse_item(src).is_err());
     }
 
     #[test]
@@ -506,7 +489,7 @@ mod tests {
         let buf = SENSOR.as_bytes();
         let idx = StructuralIndex::build(buf).unwrap();
         let table = RecordTable::build(buf, &idx, &p).unwrap().unwrap();
-        let whole = project_all(buf, &p).unwrap();
+        let whole = project(buf, &p).unwrap();
         for mid in 0..=table.len() {
             let mut got = Vec::new();
             for range in [0..mid, mid..table.len()] {

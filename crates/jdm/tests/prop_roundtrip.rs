@@ -1,13 +1,15 @@
 //! Property tests for the jdm invariants listed in DESIGN.md §7:
-//! text round-trip, binary round-trip, ItemRef/tree agreement, and
-//! projection ≡ full-parse-then-navigate.
+//! text round-trip, binary round-trip, ItemRef/tree agreement,
+//! projection ≡ full-parse-then-navigate, and neither parser (`parse_item`
+//! or the oracle) panicking on arbitrary input.
 
 use jdm::binary::{to_bytes, ItemRef};
+use jdm::index::StructuralIndex;
 use jdm::parse::parse_item;
 use jdm::path::{PathStep, ProjectionPath};
-use jdm::project::project_all;
+use jdm::project::project_indexed;
 use jdm::text::to_string;
-use jdm::{Item, Number};
+use jdm::{oracle, Item, Number};
 use proptest::prelude::*;
 
 /// Generator for arbitrary JSON items (no dateTime/sequence: those never
@@ -100,19 +102,26 @@ proptest! {
         .into_iter()
         .collect();
 
-        let streamed = project_all(text.as_bytes(), &path).unwrap();
+        let index = StructuralIndex::build(text.as_bytes()).unwrap();
+        let mut streamed = Vec::new();
+        project_indexed(text.as_bytes(), &index, &path, |it| {
+            streamed.push(it);
+            true
+        })
+        .unwrap();
         let expected: Vec<Item> = records.into_iter().flatten().collect();
         prop_assert_eq!(streamed, expected);
     }
 
     #[test]
     fn parser_never_panics_on_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = parse_item(&bytes); // must return Ok or Err, never panic
+        // Both parsers return Ok or Err, never panic, and agree.
+        prop_assert_eq!(parse_item(&bytes), oracle::parse_item(&bytes));
     }
 
     #[test]
     fn parser_never_panics_on_ascii_soup(s in "[ -~]{0,128}") {
-        let _ = parse_item(s.as_bytes());
+        prop_assert_eq!(parse_item(s.as_bytes()), oracle::parse_item(s.as_bytes()));
     }
 
     #[test]

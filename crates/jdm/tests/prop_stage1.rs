@@ -4,14 +4,15 @@
 //! message — on invalid input. Validation parity is the contract that
 //! lets the engine pick either mode freely (see DESIGN.md §11); these
 //! tests are the enforcement. A separate property pins the classifier's
-//! `interesting` words to their per-byte definition, and the tape →
-//! binary writer is checked against `item_at` in both modes.
+//! `interesting` words to their per-byte definition, and at every value
+//! node, in both modes, the tape → binary writer and the tape → `Item`
+//! walk are checked against the independent parser in `jdm::oracle`.
 
 use jdm::binary::to_bytes;
 use jdm::index::{StructuralIndex, TapeEntry, TapeKind};
 use jdm::stage1::{IndexScanner, Stage1Mode};
 use jdm::text::to_string;
-use jdm::{Item, Number};
+use jdm::{oracle, Item, Number};
 use proptest::prelude::*;
 
 /// Outcome of one index build, normalized for comparison: the tape on
@@ -184,8 +185,9 @@ impl Styled<'_> {
     }
 }
 
-/// The tape → binary writer equals `to_bytes(item_at(..))` at every value
-/// node, under both stage-1 modes.
+/// At every value node, under both stage-1 modes, `item_at` equals the
+/// oracle's item for the node's bytes, and the tape → binary writer
+/// equals `to_bytes` of that item.
 fn assert_tape_binary_matches(doc: &[u8]) {
     for mode in [Stage1Mode::Swar, Stage1Mode::Scalar] {
         let index = StructuralIndex::build_with(doc, mode).expect("valid JSON");
@@ -196,18 +198,22 @@ fn assert_tape_binary_matches(doc: &[u8]) {
             ) {
                 continue;
             }
+            let (start, end) = index.span(node);
+            let reference = oracle::parse_item(&doc[start..end]).expect("oracle accepts the span");
+            let what = || {
+                format!(
+                    "{} node {node} of {:?}",
+                    mode.label(),
+                    String::from_utf8_lossy(doc)
+                )
+            };
+            let item = index.item_at(doc, node).expect("validated");
+            assert_eq!(item, reference, "{}", what());
             let mut out = Vec::new();
             index
                 .write_binary_at(doc, node, &mut out)
                 .expect("validated");
-            let item = index.item_at(doc, node).expect("validated");
-            assert_eq!(
-                out,
-                to_bytes(&item),
-                "{} node {node} of {:?}",
-                mode.label(),
-                String::from_utf8_lossy(doc)
-            );
+            assert_eq!(out, to_bytes(&reference), "{}", what());
         }
     }
 }

@@ -615,6 +615,12 @@ fn project_binary(
 
 /// Factory for the naive sources, which parse whole files on a single
 /// partition: the whole-collection scan and `json-doc("file")`.
+///
+/// Only the parsed items (`Item::heap_size`) and the serialized result
+/// are charged to the memory tracker. The read buffer (reused for the
+/// next file) and the structural-index tape that `parse_item` builds and
+/// drops within each call (about twice the file's bytes) are parse
+/// scratch and not charged.
 pub struct WholeCollectionScanFactory {
     files: Arc<[PlannedFile]>,
     /// `json-doc`: emit the one document itself, not a sequence of items.

@@ -1,17 +1,19 @@
-//! Differential testing of the structural-index scan path.
+//! Differential testing of the structural-index parse path.
 //!
 //! A seeded generator produces random JSON *text* (deliberately ugly:
 //! random whitespace, escapes, surrogate pairs, duplicate keys, `-0`,
 //! overflowing exponents and 64-bit integers). For every document the
-//! suite checks the two parsing stacks against each other:
+//! suite checks the tape against the independent event parser in
+//! [`jdm::oracle`]:
 //!
-//! * index-guided projection ([`jdm::project::project_stream`], which now
-//!   navigates the structural-index tape) versus a full tree parse
-//!   followed by manual path navigation — items and emitted counts;
-//! * the tape replayed as an event stream versus the streaming
-//!   [`jdm::parse::EventParser`];
-//! * error parity on truncated/mutated documents — the index pre-pass
-//!   must reject exactly what the event parser rejects.
+//! * index-guided projection ([`jdm::project::project_indexed`]) versus
+//!   the oracle's tree followed by manual path navigation — items and
+//!   emitted counts;
+//! * the item built from the tape ([`StructuralIndex::item_at`]) versus
+//!   the oracle's item;
+//! * error parity on truncated/mutated documents — the index build,
+//!   [`jdm::parse::parse_item`] and projection must fail with exactly the
+//!   oracle's error (variant, message and offset).
 //!
 //! Seeds: see [`integration_tests::diff_seed`]. Every assertion message
 //! carries the seed and case number, so any CI failure (including the
@@ -20,9 +22,9 @@
 use datagen::rng::StdRng;
 use integration_tests::diff_seed;
 use jdm::index::StructuralIndex;
-use jdm::parse::{parse_item, EventParser};
-use jdm::project::project_stream;
-use jdm::{Item, PathStep, ProjectionPath};
+use jdm::parse::parse_item;
+use jdm::project::{project_indexed, ProjectStats};
+use jdm::{oracle, Item, JdmError, PathStep, ProjectionPath};
 
 /// Keys the generator draws from — a small pool so random paths actually
 /// hit (and duplicate keys occur).
@@ -184,7 +186,18 @@ impl Gen {
     }
 }
 
-/// Reference projection: navigate the fully parsed tree. Mirrors the
+/// Index `buf` and project `path` through the tape, collecting the items.
+fn project(buf: &[u8], path: &ProjectionPath) -> Result<(Vec<Item>, ProjectStats), JdmError> {
+    let index = StructuralIndex::build(buf)?;
+    let mut items = Vec::new();
+    let stats = project_indexed(buf, &index, path, |item| {
+        items.push(item);
+        true
+    })?;
+    Ok((items, stats))
+}
+
+/// Reference projection: navigate the oracle's fully parsed tree. Mirrors the
 /// documented scan semantics — `get_key` takes the *first* occurrence of
 /// a duplicate key, `Index` is 1-based on arrays, `()` fans out arrays
 /// only.
@@ -218,18 +231,13 @@ fn indexed_projection_matches_tree_navigation() {
     for case in 0..600 {
         let doc = g.document();
         let path = g.path();
-        let tree = parse_item(doc.as_bytes()).unwrap_or_else(|e| {
+        let tree = oracle::parse_item(doc.as_bytes()).unwrap_or_else(|e| {
             panic!("seed {seed} case {case}: generator emitted invalid JSON ({e}): {doc}")
         });
         let mut expected = Vec::new();
         ref_project(&tree, path.steps(), &mut expected);
 
-        let mut got = Vec::new();
-        let stats = project_stream(doc.as_bytes(), &path, |item| {
-            got.push(item);
-            true
-        })
-        .unwrap_or_else(|e| {
+        let (got, stats) = project(doc.as_bytes(), &path).unwrap_or_else(|e| {
             panic!("seed {seed} case {case}: projection failed ({e}) on path {path:?}: {doc}")
         });
         assert_eq!(
@@ -237,13 +245,15 @@ fn indexed_projection_matches_tree_navigation() {
             "seed {seed} case {case}: items diverge on path {path:?}: {doc}"
         );
         assert_eq!(
-            stats.emitted as usize,
+            stats.emitted,
             expected.len(),
             "seed {seed} case {case}: emitted count diverges: {doc}"
         );
     }
 }
 
+/// The tape replayed into an `Item` equals the event parser's item, for
+/// the whole document and through `parse_item`.
 #[test]
 fn tape_event_replay_matches_event_parser() {
     let seed = diff_seed().wrapping_add(1);
@@ -253,20 +263,19 @@ fn tape_event_replay_matches_event_parser() {
         let index = StructuralIndex::build(doc.as_bytes()).unwrap_or_else(|e| {
             panic!("seed {seed} case {case}: index rejected valid JSON ({e}): {doc}")
         });
-        let mut p = EventParser::new(doc.as_bytes());
-        let mut reference = Vec::new();
-        while let Some(ev) = p
-            .next_event()
-            .unwrap_or_else(|e| panic!("seed {seed} case {case}: event parser failed ({e}): {doc}"))
-        {
-            reference.push(ev);
-        }
-        let replay = index
-            .events(doc.as_bytes())
-            .unwrap_or_else(|e| panic!("seed {seed} case {case}: tape replay failed ({e}): {doc}"));
+        let reference = oracle::parse_item(doc.as_bytes())
+            .unwrap_or_else(|e| panic!("seed {seed} case {case}: oracle failed ({e}): {doc}"));
+        let via_tape = index
+            .item_at(doc.as_bytes(), index.root())
+            .unwrap_or_else(|e| panic!("seed {seed} case {case}: tape walk failed ({e}): {doc}"));
         assert_eq!(
-            replay, reference,
-            "seed {seed} case {case}: event streams diverge: {doc}"
+            via_tape, reference,
+            "seed {seed} case {case}: items diverge: {doc}"
+        );
+        assert_eq!(
+            parse_item(doc.as_bytes()).as_ref(),
+            Ok(&reference),
+            "seed {seed} case {case}: parse_item diverges: {doc}"
         );
     }
 }
@@ -287,48 +296,48 @@ fn error_parity_on_truncated_and_mutated_documents() {
         }
         for cut in cuts {
             let prefix = &bytes[..cut];
-            let tree = parse_item(prefix);
+            let reference = oracle::parse_item(prefix);
             let index = StructuralIndex::build(prefix);
             assert_eq!(
-                tree.is_err(),
-                index.is_err(),
-                "seed {seed} case {case}: tree={:?} index={:?} at cut {cut} of: {doc}",
-                tree.as_ref().err(),
+                reference.as_ref().err(),
                 index.as_ref().err(),
+                "seed {seed} case {case}: oracle vs index at cut {cut} of: {doc}",
             );
-            // The projector must agree with the tree parser too (the empty
-            // path projects the whole document).
-            let projected = project_stream(prefix, &ProjectionPath::root(), |_| true);
+            // `parse_item` and the projector must fail identically too
+            // (the empty path projects the whole document).
+            let parsed = parse_item(prefix);
             assert_eq!(
-                tree.is_err(),
-                projected.is_err(),
-                "seed {seed} case {case}: tree={:?} project={:?} at cut {cut} of: {doc}",
-                tree.as_ref().err(),
+                reference.as_ref().err(),
+                parsed.as_ref().err(),
+                "seed {seed} case {case}: oracle vs parse_item at cut {cut} of: {doc}",
+            );
+            let projected = project(prefix, &ProjectionPath::root());
+            assert_eq!(
+                reference.as_ref().err(),
                 projected.as_ref().err(),
+                "seed {seed} case {case}: oracle vs projection at cut {cut} of: {doc}",
             );
         }
-        // One random single-byte mutation: the two stacks must agree on
-        // accept/reject, and on the parsed value when both accept.
+        // One random single-byte mutation: the two stacks must return the
+        // same error, and the same value when both accept.
         if !bytes.is_empty() {
             let mut mutated = bytes.to_vec();
             let at = g.rng.gen_range(0usize..mutated.len());
             mutated[at] = g.rng.gen_range(0u8..=255);
-            let tree = parse_item(&mutated);
+            let reference = oracle::parse_item(&mutated);
             let index = StructuralIndex::build(&mutated);
             assert_eq!(
-                tree.is_err(),
-                index.is_err(),
-                "seed {seed} case {case}: mutation at {at} ({}): tree={:?} index={:?}",
-                mutated[at],
-                tree.as_ref().err(),
+                reference.as_ref().err(),
                 index.as_ref().err(),
+                "seed {seed} case {case}: mutation at {at} ({})",
+                mutated[at],
             );
-            if let (Ok(tree), Ok(index)) = (tree, index) {
+            if let (Ok(reference), Ok(index)) = (reference, index) {
                 let via_tape = index.item_at(&mutated, index.root()).unwrap_or_else(|e| {
                     panic!("seed {seed} case {case}: tape materialization failed: {e}")
                 });
                 assert_eq!(
-                    via_tape, tree,
+                    via_tape, reference,
                     "seed {seed} case {case}: mutated doc parses differently"
                 );
             }

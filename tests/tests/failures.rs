@@ -97,6 +97,29 @@ fn malformed_json_fails_under_naive_plans_too() {
         e.execute(queries::Q0),
         Err(EngineError::Execute(_))
     ));
+
+    // Naive and rewritten plans parse through the same validator, so a
+    // file that ends right after an object key fails both with the same
+    // error at the same offset.
+    let root = scratch("badjson-key-eof");
+    let dir = root.join("sensors/node0");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("broken.json"), br#"{"root": [{"date""#).unwrap();
+    let error_under = |rules| {
+        let e = Engine::new(EngineConfig {
+            rules,
+            data_root: root.clone(),
+            ..Default::default()
+        });
+        match e.execute(queries::Q0) {
+            Err(EngineError::Execute(err)) => err.to_string(),
+            other => panic!("expected execution error, got {other:?}"),
+        }
+    };
+    let naive = error_under(algebra::rules::RuleConfig::none());
+    let rewritten = error_under(algebra::rules::RuleConfig::all());
+    assert_eq!(naive, rewritten);
+    assert!(naive.contains("unexpected end of input"), "{naive}");
 }
 
 #[test]

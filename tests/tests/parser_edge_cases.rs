@@ -1,27 +1,33 @@
 //! Parser edge cases promoted to integration-level regression tests:
-//! every case is checked against *both* parsing stacks (the streaming
-//! tree parser and the structural-index pre-pass), pinning the validation
-//! parity the split scan depends on.
+//! every case is checked against *both* parsers (the structural index
+//! behind `parse_item`, and the independent event parser in
+//! [`jdm::oracle`]), pinning the validation parity the engine depends on:
+//! equal items, and equal errors down to the message and offset.
 
 use jdm::index::StructuralIndex;
 use jdm::parse::{parse_item, MAX_DEPTH};
-use jdm::project::{project_stream, RecordTable};
-use jdm::{Item, Number, PathStep, ProjectionPath};
+use jdm::project::RecordTable;
+use jdm::{oracle, Item, Number, PathStep, ProjectionPath};
 
 fn both_ok(src: &str) -> Item {
-    let tree = parse_item(src.as_bytes()).unwrap_or_else(|e| panic!("tree rejects {src:?}: {e}"));
-    let idx = StructuralIndex::build(src.as_bytes())
-        .unwrap_or_else(|e| panic!("index rejects {src:?}: {e}"));
-    let via_tape = idx.item_at(src.as_bytes(), idx.root()).unwrap();
-    assert_eq!(via_tape, tree, "stacks disagree on {src:?}");
-    tree
+    let reference = oracle::parse_item(src.as_bytes())
+        .unwrap_or_else(|e| panic!("oracle rejects {src:?}: {e}"));
+    let via_tape =
+        parse_item(src.as_bytes()).unwrap_or_else(|e| panic!("index rejects {src:?}: {e}"));
+    assert_eq!(via_tape, reference, "parsers disagree on {src:?}");
+    via_tape
 }
 
 fn both_err(src: &str) {
-    assert!(parse_item(src.as_bytes()).is_err(), "tree accepts {src:?}");
-    assert!(
-        StructuralIndex::build(src.as_bytes()).is_err(),
-        "index accepts {src:?}"
+    let reference = oracle::parse_item(src.as_bytes())
+        .err()
+        .unwrap_or_else(|| panic!("oracle accepts {src:?}"));
+    let index = StructuralIndex::build(src.as_bytes()).err();
+    assert_eq!(index.as_ref(), Some(&reference), "index error on {src:?}");
+    assert_eq!(
+        parse_item(src.as_bytes()).err(),
+        Some(reference),
+        "parse_item error on {src:?}"
     );
 }
 
@@ -99,7 +105,7 @@ fn deep_nesting_hits_the_stack_guard_in_both_stacks() {
 fn truncation_at_every_record_boundary_errors_everywhere() {
     // A split reads record-aligned ranges; a file truncated at any record
     // boundary (mid-document) must be rejected up front by the index
-    // pre-pass, never silently half-scanned.
+    // pre-pass, never silently half-scanned, with the oracle's error.
     let doc = r#"{"root": [{"v": 1}, {"v": 2}, {"v": 3}, {"v": 4}]}"#;
     let path = ProjectionPath::new(vec![PathStep::Key("root".into()), PathStep::AllMembers]);
     let index = StructuralIndex::build(doc.as_bytes()).unwrap();
@@ -110,17 +116,18 @@ fn truncation_at_every_record_boundary_errors_everywhere() {
     for rec in &table.records {
         for cut in [rec.start, rec.end] {
             let prefix = &doc.as_bytes()[..cut];
-            assert!(
-                parse_item(prefix).is_err(),
-                "tree accepts truncation at {cut}"
+            let reference = oracle::parse_item(prefix)
+                .err()
+                .unwrap_or_else(|| panic!("oracle accepts truncation at {cut}"));
+            assert_eq!(
+                StructuralIndex::build(prefix).err().as_ref(),
+                Some(&reference),
+                "index error on truncation at {cut}"
             );
-            assert!(
-                StructuralIndex::build(prefix).is_err(),
-                "index accepts truncation at {cut}"
-            );
-            assert!(
-                project_stream(prefix, &path, |_| true).is_err(),
-                "projection accepts truncation at {cut}"
+            assert_eq!(
+                parse_item(prefix).err().as_ref(),
+                Some(&reference),
+                "parse_item error on truncation at {cut}"
             );
         }
     }
