@@ -8,7 +8,7 @@
 //!
 //! | family | rules |
 //! |---|---|
-//! | base (always on) | [`base::RemoveDeadAssign`], [`base::PushSelectIntoJoin`] |
+//! | base (always on) | [`base::RemoveDeadAssign`], [`base::PushSelectIntoJoin`], [`base::PushSideExpressionsBelowJoin`] |
 //! | path expression | [`path::EliminatePromoteData`], [`path::MergeKeysOrMembersIntoUnnest`] |
 //! | pipelining | [`pipelining::IntroduceDataScan`], [`pipelining::PushValueIntoDataScan`], [`pipelining::PushKeysOrMembersIntoDataScan`] |
 //! | group-by | [`groupby::RemoveTreat`], [`groupby::ConvertScalarAggregateToSubplan`], [`groupby::PushSubplanAggregateIntoGroupBy`] |
@@ -110,6 +110,7 @@ impl RuleSet {
     pub fn for_config(config: RuleConfig) -> Self {
         let mut rules: Vec<Box<dyn Rule>> = vec![
             Box::new(base::PushSelectIntoJoin),
+            Box::new(base::PushSideExpressionsBelowJoin),
             Box::new(base::RemoveDeadAssign),
         ];
         if config.path_rules {
@@ -128,6 +129,13 @@ impl RuleSet {
             rules.push(Box::new(groupby::PushSubplanAggregateIntoGroupBy));
         }
         RuleSet { rules }
+    }
+
+    /// The same set minus the rule named `name` (a [`Rule::name`]): lets
+    /// a test run a query with and without one rule.
+    pub fn without(mut self, name: &str) -> Self {
+        self.rules.retain(|r| r.name() != name);
+        self
     }
 
     /// Run all rules to fixpoint; returns the names of applications in

@@ -49,6 +49,7 @@ pub struct AsterixSim {
 fn asterix_rules() -> RuleSet {
     let rules: Vec<Box<dyn Rule>> = vec![
         Box::new(base::PushSelectIntoJoin),
+        Box::new(base::PushSideExpressionsBelowJoin),
         Box::new(base::RemoveDeadAssign),
         Box::new(path::EliminatePromoteData),
         Box::new(path::MergeKeysOrMembersIntoUnnest),

@@ -929,33 +929,36 @@ impl<'a> Compiler<'a> {
             ));
         }
 
-        // Each side needs: variables live above, its key expressions, and
-        // whatever the residual condition reads.
-        let mut live_l: HashSet<VarId> =
+        // Across the join, each side carries only the variables live above
+        // and whatever the residual condition reads, plus its key fields.
+        let mut keep_l: HashSet<VarId> =
             live.iter().copied().filter(|v| lvars.contains(v)).collect();
-        let mut live_r: HashSet<VarId> =
+        let mut keep_r: HashSet<VarId> =
             live.iter().copied().filter(|v| rvars.contains(v)).collect();
+        for e in &residual {
+            for v in expr_vars(e) {
+                if lvars.contains(&v) {
+                    keep_l.insert(v);
+                } else {
+                    keep_r.insert(v);
+                }
+            }
+        }
+        // The key expressions read more, but only until the keys exist.
+        let mut live_l = keep_l.clone();
+        let mut live_r = keep_r.clone();
         for e in &lkeys {
             live_l.extend(expr_vars(e));
         }
         for e in &rkeys {
             live_r.extend(expr_vars(e));
         }
-        for e in &residual {
-            for v in expr_vars(e) {
-                if lvars.contains(&v) {
-                    live_l.insert(v);
-                } else {
-                    live_r.insert(v);
-                }
-            }
-        }
 
         let mut lp = self.compile_op(left, &live_l, job)?;
         let mut rp = self.compile_op(right, &live_r, job)?;
 
-        let lkf = self.materialize_keys(&lkeys, &mut lp)?;
-        let rkf = self.materialize_keys(&rkeys, &mut rp)?;
+        let lkf = self.materialize_keys(&lkeys, &mut lp, keep_l)?;
+        let rkf = self.materialize_keys(&rkeys, &mut rp, keep_r)?;
 
         // Output schema: probe (right) fields then build (left) fields —
         // HashJoinOp's output order.
@@ -1008,19 +1011,29 @@ impl<'a> Compiler<'a> {
         Ok(out)
     }
 
-    /// Ensure each key expression is a plain field, appending ASSIGNs for
-    /// computed keys; returns the key field indices.
-    fn materialize_keys(&mut self, keys: &[LogicalExpr], p: &mut Pipeline) -> Result<Vec<usize>> {
-        let mut out = Vec::with_capacity(keys.len());
+    /// Append an ASSIGN per key expression, then prune the pipeline to
+    /// `keep` plus the keys; returns the key field indices.
+    fn materialize_keys(
+        &mut self,
+        keys: &[LogicalExpr],
+        p: &mut Pipeline,
+        mut keep: HashSet<VarId>,
+    ) -> Result<Vec<usize>> {
+        let mut key_vars = Vec::with_capacity(keys.len());
         for k in keys {
             let compiled = Self::compile_expr(k, &p.schema, None)?;
             p.steps
                 .push(StepSpec::Assign(RtExpr::Canon(Box::new(compiled))));
             let tmp = self.gen.fresh();
             p.schema.push(tmp);
-            out.push(p.schema.len() - 1);
+            key_vars.push(tmp);
         }
-        Ok(out)
+        keep.extend(key_vars.iter().copied());
+        Self::prune(p, &keep);
+        key_vars
+            .into_iter()
+            .map(|v| Self::field_of(&p.schema, v))
+            .collect()
     }
 }
 

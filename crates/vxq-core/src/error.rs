@@ -12,6 +12,9 @@ pub enum EngineError {
     Parse(jsoniq::ParseError),
     /// Physical compilation (unsupported plan shapes, missing keys).
     Compile(String),
+    /// Expression evaluation over tuples (type errors, bad dateTime
+    /// strings, division by zero).
+    Runtime(String),
     /// Runtime execution.
     Execute(dataflow::DataflowError),
     /// Data access outside the runtime (setup, paths).
@@ -36,6 +39,7 @@ impl fmt::Display for EngineError {
         match self {
             EngineError::Parse(e) => write!(f, "{e}"),
             EngineError::Compile(m) => write!(f, "compile error: {m}"),
+            EngineError::Runtime(m) => write!(f, "runtime error: {m}"),
             EngineError::Execute(e) => write!(f, "execution error: {e}"),
             EngineError::Io(e) => write!(f, "I/O error: {e}"),
             EngineError::Overloaded {

@@ -9,6 +9,8 @@
 //! * value comparisons on empty sequences are `false` (a missing key
 //!   never matches), and comparisons over sequences are existential;
 //! * arithmetic propagates the empty sequence.
+//!
+//! Errors raised while evaluating are [`EngineError::Runtime`].
 
 use crate::error::{EngineError, Result};
 use algebra::expr::Function;
@@ -51,10 +53,11 @@ impl RtExpr {
 
     /// Evaluate without materializing what the result does not need: a
     /// field is a zero-copy view of the tuple's bytes, a constant is
-    /// borrowed, and path steps, comparisons, boolean connectives and the
-    /// dateTime functions work on those views. Every other case decodes
-    /// its arguments and defers to [`apply`], which stays the reference
-    /// semantics (the property tests pin the two together).
+    /// borrowed, and path steps, comparisons, boolean connectives, the
+    /// dateTime functions and arithmetic on two numbers (except `idiv`)
+    /// work on those views. Every other case decodes its arguments and
+    /// defers to [`apply`], which stays the reference semantics (the
+    /// property tests pin the two together).
     pub fn eval_ref<'a>(
         &'a self,
         tuple: &TupleRef<'a>,
@@ -65,11 +68,11 @@ impl RtExpr {
                 if *i == EXTRA_FIELD {
                     return extra
                         .map(Val::Borrowed)
-                        .ok_or_else(|| EngineError::Compile("extra field unbound".into()));
+                        .ok_or_else(|| EngineError::Runtime("extra field unbound".into()));
                 }
                 ItemRef::new(tuple.field(*i))
                     .map(Val::Ref)
-                    .map_err(|e| EngineError::Compile(format!("bad field {i}: {e}")))
+                    .map_err(|e| EngineError::Runtime(format!("bad field {i}: {e}")))
             }
             RtExpr::Const(item) => Ok(Val::Borrowed(item)),
             RtExpr::Canon(inner) => canonicalize_val(inner.eval_ref(tuple, extra)?),
@@ -95,7 +98,7 @@ impl Val<'_> {
         match self {
             Val::Ref(r) => r
                 .to_item()
-                .map_err(|e| EngineError::Compile(format!("bad item: {e}"))),
+                .map_err(|e| EngineError::Runtime(format!("bad item: {e}"))),
             Val::Borrowed(item) => Ok(item.clone()),
             Val::Owned(item) => Ok(item),
         }
@@ -244,12 +247,24 @@ fn call<'a>(
             }
             Ok(Val::Owned(Item::Boolean(if f == And { all } else { any })))
         }
+        (Add | Sub | Mul | Div, [lhs, rhs]) => {
+            let (lhs, rhs) = (eval(lhs)?, eval(rhs)?);
+            match (numeric(&lhs), numeric(&rhs)) {
+                (Some(a), Some(b)) => Ok(Val::Owned(Item::Number(match f {
+                    Add => a.add(b),
+                    Sub => a.sub(b),
+                    Mul => a.mul(b),
+                    _ => a.div(b),
+                }))),
+                _ => fallback(f, [lhs, rhs]),
+            }
+        }
         (DateTime, [a]) => {
             let arg = eval(a)?;
             if let Some(s) = arg.as_str() {
                 return jdm::DateTime::parse(s)
                     .map(|d| Val::Owned(Item::DateTime(d)))
-                    .map_err(|e| EngineError::Compile(e.to_string()));
+                    .map_err(|e| EngineError::Runtime(e.to_string()));
             }
             match arg.as_datetime() {
                 Some(d) => Ok(Val::Owned(Item::DateTime(d))),
@@ -264,6 +279,16 @@ fn call<'a>(
             }
         }
         _ => fallback(f, args.iter().map(eval).collect::<Result<Vec<_>>>()?),
+    }
+}
+
+/// The number a numeric atom holds; `None` for everything else, which
+/// arithmetic leaves to [`apply`] (sequences, the empty sequence, and the
+/// non-numbers it rejects).
+fn numeric(val: &Val<'_>) -> Option<Number> {
+    match val.kind() {
+        tag::INT | tag::DOUBLE => val.as_number(),
+        _ => None,
     }
 }
 
@@ -369,9 +394,9 @@ pub fn apply(f: Function, mut args: Vec<Item>) -> Result<Item> {
             match singleton(&arg) {
                 Some(Item::String(s)) => jdm::DateTime::parse(s)
                     .map(Item::DateTime)
-                    .map_err(|e| EngineError::Compile(e.to_string())),
+                    .map_err(|e| EngineError::Runtime(e.to_string())),
                 Some(Item::DateTime(d)) => Ok(Item::DateTime(*d)),
-                Some(other) => Err(EngineError::Compile(format!(
+                Some(other) => Err(EngineError::Runtime(format!(
                     "dateTime() expects a string, got {other}"
                 ))),
                 None => Ok(Item::empty()),
@@ -381,7 +406,7 @@ pub fn apply(f: Function, mut args: Vec<Item>) -> Result<Item> {
             let arg = args.pop().expect("accessor arity");
             match singleton(&arg) {
                 Some(Item::DateTime(d)) => Ok(Item::int(date_part(f, *d))),
-                Some(other) => Err(EngineError::Compile(format!(
+                Some(other) => Err(EngineError::Runtime(format!(
                     "dateTime accessor expects a dateTime, got {other}"
                 ))),
                 None => Ok(Item::empty()),
@@ -397,7 +422,7 @@ pub fn apply(f: Function, mut args: Vec<Item>) -> Result<Item> {
             for it in arg.iter_sequence() {
                 let n = it
                     .as_number()
-                    .ok_or_else(|| EngineError::Compile(format!("sum() over non-number {it}")))?;
+                    .ok_or_else(|| EngineError::Runtime(format!("sum() over non-number {it}")))?;
                 total = total.add(n);
             }
             Ok(Item::Number(total))
@@ -409,7 +434,7 @@ pub fn apply(f: Function, mut args: Vec<Item>) -> Result<Item> {
             for it in arg.iter_sequence() {
                 let v = it
                     .as_number()
-                    .ok_or_else(|| EngineError::Compile(format!("avg() over non-number {it}")))?;
+                    .ok_or_else(|| EngineError::Runtime(format!("avg() over non-number {it}")))?;
                 total = total.add(v);
                 n += 1;
             }
@@ -437,7 +462,7 @@ pub fn apply(f: Function, mut args: Vec<Item>) -> Result<Item> {
             }
             Ok(best.unwrap_or_else(Item::empty))
         }
-        Collection | JsonDoc => Err(EngineError::Compile(
+        Collection | JsonDoc => Err(EngineError::Runtime(
             "collection()/json-doc() must be compiled to a scan, not evaluated".into(),
         )),
     }
@@ -558,7 +583,7 @@ fn arith(f: Function, lhs: &Item, rhs: &Item) -> Result<Item> {
         return Ok(Item::empty());
     };
     let (Some(a), Some(b)) = (l.as_number(), r.as_number()) else {
-        return Err(EngineError::Compile(format!(
+        return Err(EngineError::Runtime(format!(
             "arithmetic on non-numbers: {l} and {r}"
         )));
     };
@@ -569,7 +594,7 @@ fn arith(f: Function, lhs: &Item, rhs: &Item) -> Result<Item> {
         Function::Div => a.div(b),
         Function::IDiv => a
             .idiv(b)
-            .ok_or_else(|| EngineError::Compile("idiv by zero".into()))?,
+            .ok_or_else(|| EngineError::Runtime("idiv by zero".into()))?,
         _ => unreachable!("not arithmetic"),
     };
     Ok(Item::Number(out))

@@ -118,7 +118,7 @@ fn arb_operand() -> impl Strategy<Value = Item> {
 }
 
 /// Every function the evaluator has a view route for, plus fallbacks.
-const FUNCTIONS: [(Function, usize); 21] = [
+const FUNCTIONS: [(Function, usize); 24] = [
     (Function::Value, 2),
     (Function::Eq, 2),
     (Function::Ne, 2),
@@ -138,6 +138,9 @@ const FUNCTIONS: [(Function, usize); 21] = [
     (Function::KeysOrMembers, 1),
     (Function::Add, 2),
     (Function::Sub, 2),
+    (Function::Mul, 2),
+    (Function::Div, 2),
+    (Function::IDiv, 2),
     (Function::Count, 1),
     (Function::Max, 1),
 ];
@@ -261,15 +264,26 @@ fn eval_ref_edge_cases() {
         (Function::Value, obj.clone(), Item::str("k")),
         (Function::Value, obj.clone(), Item::str("z")),
         (Function::Value, obj, Item::int(1)),
+        // Arithmetic: int overflow widens to a double, division by zero
+        // (a double for `div`, an error for `idiv`), an empty operand
+        // (the empty sequence), mixed int and double.
+        (Function::Add, Item::int(i64::MAX), Item::int(1)),
+        (Function::Sub, Item::int(i64::MIN), Item::int(1)),
+        (Function::Mul, Item::int(i64::MAX), Item::int(2)),
+        (Function::Div, Item::int(1), Item::int(0)),
+        (Function::Div, Item::int(0), Item::int(0)),
+        (Function::IDiv, Item::int(7), Item::int(0)),
+        (Function::IDiv, Item::int(-7), Item::int(2)),
+        (Function::Sub, Item::empty(), Item::int(1)),
+        (Function::Mul, Item::int(3), Item::empty()),
+        (Function::Add, Item::double(2.5), Item::int(1)),
+        (Function::Sub, Item::seq([Item::int(4)]), Item::int(1)),
+        (Function::Add, Item::str("x"), Item::int(1)),
     ] {
-        let arity = if matches!(
-            f,
-            Function::Eq | Function::Ne | Function::Lt | Function::Value
-        ) {
-            2
-        } else {
-            1
-        };
+        let (_, arity) = FUNCTIONS
+            .into_iter()
+            .find(|(g, _)| *g == f)
+            .expect("every edge case is in the function table");
         assert_eval_ref_matches_apply(f, arity, &a, &b);
     }
     // Canon: the double 2.0 is written as the integer 2.

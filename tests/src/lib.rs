@@ -33,6 +33,38 @@ pub fn diff_seed() -> u64 {
     }
 }
 
+/// Q2 with a `let` after each `for`: the return reads the two `let`
+/// variables instead of the records.
+pub const Q2_LETS: &str = r#"
+avg(
+  for $r_min in collection("/sensors")("root")()("results")()
+  let $vmin := $r_min("value")
+  for $r_max in collection("/sensors")("root")()("results")()
+  let $vmax := $r_max("value")
+  where $r_min("station") eq $r_max("station")
+    and $r_min("date") eq $r_max("date")
+    and $r_min("dataType") eq "TMIN"
+    and $r_max("dataType") eq "TMAX"
+  return $vmax - $vmin
+) div 10
+"#;
+
+/// Q2 over December only, through a `let` between the second `for` and
+/// the `where` that can fail (`dateTime`), so it stays above the join.
+pub const Q2_DECEMBER: &str = r#"
+avg(
+  for $r_min in collection("/sensors")("root")()("results")()
+  for $r_max in collection("/sensors")("root")()("results")()
+  let $d := dateTime($r_max("date"))
+  where $r_min("station") eq $r_max("station")
+    and $r_min("date") eq $r_max("date")
+    and $r_min("dataType") eq "TMIN"
+    and $r_max("dataType") eq "TMAX"
+    and month-from-dateTime($d) eq 12
+  return $r_max("value") - $r_min("value")
+) div 10
+"#;
+
 #[cfg(test)]
 mod tests {
     #[test]

@@ -173,6 +173,11 @@ fn q1_and_q1b_match_reference_under_every_config() {
 }
 
 fn q2_reference() -> f64 {
+    q2_reference_on(|_| true)
+}
+
+/// Q2's answer over the measurements whose date passes `keep_date`.
+fn q2_reference_on(keep_date: impl Fn(&str) -> bool) -> f64 {
     // Join TMIN and TMAX on (station, date); avg(value diff) / 10.
     let mut tmin: HashMap<(String, String), Vec<i64>> = HashMap::new();
     let mut tmax: HashMap<(String, String), Vec<i64>> = HashMap::new();
@@ -181,6 +186,9 @@ fn q2_reference() -> f64 {
             m.get_key("station").unwrap().as_str().unwrap().to_string(),
             m.get_key("date").unwrap().as_str().unwrap().to_string(),
         );
+        if !keep_date(&key.1) {
+            continue;
+        }
         let v = m
             .get_key("value")
             .unwrap()
@@ -211,7 +219,27 @@ fn q2_reference() -> f64 {
 
 #[test]
 fn q2_matches_reference_under_every_config() {
-    let expected = q2_reference();
+    assert_q2_shaped_query_matches(queries::Q2, q2_reference());
+}
+
+/// A `let` after each `for` compiles to the same join as Q2 and gives
+/// Q2's answer.
+#[test]
+fn q2_with_lets_matches_q2_reference_under_every_config() {
+    assert_q2_shaped_query_matches(integration_tests::Q2_LETS, q2_reference());
+}
+
+/// A failing `let` (`dateTime`) between the join and the `where` stays
+/// above the join; the other conjuncts still form the equi-join.
+#[test]
+fn q2_december_matches_reference_under_every_config() {
+    let expected = q2_reference_on(|date| DateTime::parse(date).unwrap().month == 12);
+    assert_q2_shaped_query_matches(integration_tests::Q2_DECEMBER, expected);
+}
+
+/// Run a query returning Q2's one number under every rule config and
+/// compare it with `expected`.
+fn assert_q2_shaped_query_matches(query: &str, expected: f64) {
     for (name, cfg) in CONFIGS {
         let e = engine(
             cfg(),
@@ -221,12 +249,15 @@ fn q2_matches_reference_under_every_config() {
                 ..Default::default()
             },
         );
-        let rows = e.execute(queries::Q2).unwrap().rows;
-        assert_eq!(rows.len(), 1, "Q2 returns one row under {name}");
+        let rows = e
+            .execute(query)
+            .unwrap_or_else(|err| panic!("{query} under config {name}: {err}"))
+            .rows;
+        assert_eq!(rows.len(), 1, "{query} returns one row under {name}");
         let got = rows[0][0].as_number().unwrap().as_f64();
         assert!(
             (got - expected).abs() < 1e-9,
-            "Q2 mismatch under config {name}: got {got}, want {expected}"
+            "{query} mismatch under config {name}: got {got}, want {expected}"
         );
     }
 }

@@ -127,6 +127,41 @@ fn q2_optimized_has_join_over_two_scans() {
     assert!(t.contains("avg("), "{t}");
 }
 
+/// The one-sided `value` steps of Q2's return move below the join, so
+/// the join carries two numbers instead of two records.
+#[test]
+fn q2_evaluates_one_sided_paths_below_the_join() {
+    for config in [RuleConfig::all(), RuleConfig::none()] {
+        let plan = optimized(Q2, config);
+        let t = plan.explain();
+        let mut above = None;
+        let mut below = 0;
+        let mut depth_of_join = None;
+        for line in t.lines() {
+            let depth = line.len() - line.trim_start().len();
+            let op = line.trim_start();
+            if op.starts_with("join ") {
+                depth_of_join = Some(depth);
+            } else if depth_of_join.is_none() && op.starts_with("assign ") {
+                above = Some(op);
+            } else if depth_of_join.is_some_and(|d| depth > d)
+                && op.starts_with("assign ")
+                && op.contains(r#", "value")"#)
+            {
+                below += 1;
+            }
+        }
+        assert!(depth_of_join.is_some(), "{t}");
+        assert_eq!(below, 2, "two value steps below the join: {t}");
+        let above = above.expect("post-join assign");
+        let rhs = above.split(":= ").nth(1).expect("assign expression");
+        assert!(
+            rhs.starts_with("subtract($") && !rhs.contains("value("),
+            "the post-join assign reads only variables: {t}"
+        );
+    }
+}
+
 #[test]
 fn rules_off_keeps_naive_shapes() {
     let plan = optimized(Q0, RuleConfig::none());

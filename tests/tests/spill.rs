@@ -99,6 +99,22 @@ fn squeezed_budget(e: &Engine, query: &str, frac: usize) -> usize {
     (st.peak_memory.saturating_sub(st.peak_cached) / frac).max(1)
 }
 
+/// `1/frac` of the largest hash-join build of the query's unlimited run:
+/// a budget that build alone cannot fit in, however little else the
+/// query holds at the time.
+fn squeezed_join_budget(e: &Engine, query: &str, frac: usize) -> usize {
+    let st = e.execute(query).expect("unlimited run").stats;
+    let build = st
+        .profile
+        .spill_ops
+        .iter()
+        .filter(|o| o.op == "HASH-JOIN")
+        .map(|o| o.peak_reserved)
+        .max()
+        .expect("the query has a hash join");
+    (build / frac).max(1)
+}
+
 /// The ISSUE's acceptance bar: Q0/Q1/Q2 return byte-identical (sorted)
 /// rows under shrinking budgets, down to budgets well below their
 /// unlimited peaks, and the tight budgets actually spill.
@@ -112,7 +128,10 @@ fn budget_sweep_returns_identical_rows() {
     ] {
         let base = unlimited.execute(query).expect("unlimited run");
         let expected = canon(&base.rows);
-        let mid = squeezed_budget(&unlimited, query, 2);
+        let mid = match name {
+            "Q2" => squeezed_join_budget(&unlimited, query, 2),
+            _ => squeezed_budget(&unlimited, query, 2),
+        };
         for budget in [64 * 1024 * 1024, mid] {
             let e = engine(
                 budget,
@@ -196,7 +215,7 @@ fn external_sort_multi_pass_merge_stays_correct() {
 fn grace_join_recursive_partitioning_stays_correct() {
     let unlimited = engine(0, cluster(1, 1), RuleConfig::all(), SpillConfig::default());
     let base = unlimited.execute(queries::Q2).expect("unlimited Q2");
-    let budget = squeezed_budget(&unlimited, queries::Q2, 8);
+    let budget = squeezed_join_budget(&unlimited, queries::Q2, 8);
     let e = engine(
         budget,
         cluster(1, 1),
@@ -296,7 +315,7 @@ fn spill_dirs_left(root: &PathBuf) -> Vec<String> {
 fn spill_dir_cleaned_after_success() {
     let scratch = spill_scratch("ok");
     let unlimited = engine(0, cluster(1, 1), RuleConfig::all(), SpillConfig::default());
-    let budget = squeezed_budget(&unlimited, queries::Q2, 4);
+    let budget = squeezed_join_budget(&unlimited, queries::Q2, 4);
     let e = engine(
         budget,
         cluster(1, 1),
