@@ -37,11 +37,10 @@ pub fn splits(h: &Harness) -> Vec<Table> {
         let mut times = Vec::new();
         for scan in [
             ScanOptions {
-                intra_file_splits: false,
+                min_split_bytes: u64::MAX,
                 ..ScanOptions::default()
             },
             ScanOptions {
-                intra_file_splits: true,
                 min_split_bytes: 64 * 1024,
                 ..ScanOptions::default()
             },

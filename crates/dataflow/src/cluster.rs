@@ -2,14 +2,15 @@
 //!
 //! **Substitution note (DESIGN.md §3):** the paper runs Hyracks on a real
 //! 9-node cluster. Here a "node" is a group of `partitions_per_node` worker
-//! threads sharing a CPU core gate; exchanges between partitions of
-//! different nodes are counted as network traffic. The operator, exchange,
-//! and scheduling code paths are identical to the multi-machine case — the
-//! only thing the simulation removes is the physical wire.
+//! threads whose work the timing model schedules on `cores_per_node`
+//! cores; exchanges between partitions of different nodes are counted as
+//! network traffic. The operator, exchange, and scheduling code paths are
+//! identical to the multi-machine case — the only thing the simulation
+//! removes is the physical wire.
 
 use crate::cancel::{CancelProbe, CancelToken};
 use crate::channel::{bounded, Receiver, Sender};
-use crate::context::{CoreGate, TaskContext};
+use crate::context::TaskContext;
 use crate::error::{DataflowError, Result};
 use crate::exchange::{HashPartitionSender, MergeSender, OneToOneSender};
 use crate::frame::{Frame, DEFAULT_FRAME_SIZE};
@@ -37,8 +38,8 @@ pub struct ClusterSpec {
     /// oversubscription (Fig. 17): the timing model divides each node's
     /// total task work by `min(cores, partitions)` when computing the
     /// simulated makespan (see `crate::cputime`). Worker threads are never
-    /// blocked on core tokens at runtime — holding a token across a
-    /// channel send can deadlock against consumers needing tokens to
+    /// throttled at runtime: a task holding a core across a blocking
+    /// channel send could deadlock against consumers needing a core to
     /// drain, so the limit is applied analytically instead.
     pub cores_per_node: usize,
     /// Frame capacity in bytes.
@@ -76,7 +77,6 @@ impl ClusterSpec {
 pub struct Cluster {
     spec: ClusterSpec,
     mem: Arc<MemTracker>,
-    gates: Vec<CoreGate>,
     spill: SpillConfig,
 }
 
@@ -120,21 +120,7 @@ impl Cluster {
     /// Full constructor: tracker plus spill tuning (run-file directory,
     /// merge fan-in, partition fan-out).
     pub fn with_settings(spec: ClusterSpec, mem: Arc<MemTracker>, spill: SpillConfig) -> Self {
-        let gates = (0..spec.nodes)
-            .map(|_| {
-                if spec.cores_per_node == 0 {
-                    CoreGate::unlimited()
-                } else {
-                    CoreGate::with_cores(spec.cores_per_node)
-                }
-            })
-            .collect();
-        Cluster {
-            spec,
-            mem,
-            gates,
-            spill,
-        }
+        Cluster { spec, mem, spill }
     }
 
     pub fn spec(&self) -> &ClusterSpec {
@@ -177,7 +163,6 @@ impl Cluster {
             frame_size: self.spec.frame_size,
             mem: mem.clone(),
             counters: counters.clone(),
-            gate: self.gates[node].clone(),
             profiler: Some(profiler.clone()),
             spill: spill.clone(),
             cancel: cancel.clone(),

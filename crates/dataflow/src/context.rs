@@ -1,85 +1,11 @@
-//! Per-task execution context and the per-node core gate.
+//! Per-task execution context.
 
 use crate::cancel::CancelToken;
 use crate::ops::BoxWriter;
 use crate::profile::Profiler;
 use crate::spill::{SpillCtx, SpillHandle};
 use crate::stats::{Counters, MemTracker};
-use std::sync::{Arc, Condvar, Mutex};
-
-/// Counting semaphore used to model per-node CPU cores.
-pub struct Semaphore {
-    permits: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl Semaphore {
-    pub fn new(permits: usize) -> Arc<Self> {
-        Arc::new(Semaphore {
-            permits: Mutex::new(permits),
-            cv: Condvar::new(),
-        })
-    }
-
-    pub fn acquire(self: &Arc<Self>) -> SemaphoreGuard {
-        // Permit counts stay consistent under poisoning (the guard's Drop
-        // runs even when its task panics), so recover instead of wedging
-        // every later job on this gate.
-        let mut p = self.permits.lock().unwrap_or_else(|e| e.into_inner());
-        while *p == 0 {
-            p = self.cv.wait(p).unwrap_or_else(|e| e.into_inner());
-        }
-        *p -= 1;
-        SemaphoreGuard { sem: self.clone() }
-    }
-}
-
-/// RAII permit.
-pub struct SemaphoreGuard {
-    sem: Arc<Semaphore>,
-}
-
-impl Drop for SemaphoreGuard {
-    fn drop(&mut self) {
-        let mut p = self.sem.permits.lock().unwrap_or_else(|e| e.into_inner());
-        *p += 1;
-        self.sem.cv.notify_one();
-    }
-}
-
-/// Optional CPU gate: a counting semaphore over per-node core tokens.
-///
-/// The runtime itself does **not** acquire this during normal operator
-/// work — a task holding a token across a blocking channel send can
-/// deadlock against consumers that need tokens to drain. Core limits are
-/// instead applied analytically by the simulated-time model
-/// ([`crate::cputime`]), which divides per-node work by the core count;
-/// that is what reproduces the paper's hyper-threading plateau (Fig. 17).
-/// The gate remains available for extensions that need hard concurrency
-/// caps around non-blocking sections.
-#[derive(Clone)]
-pub struct CoreGate {
-    sem: Option<Arc<Semaphore>>,
-}
-
-impl CoreGate {
-    /// A gate that never blocks (unlimited cores).
-    pub fn unlimited() -> Self {
-        CoreGate { sem: None }
-    }
-
-    /// A gate backed by `cores` tokens.
-    pub fn with_cores(cores: usize) -> Self {
-        CoreGate {
-            sem: Some(Semaphore::new(cores)),
-        }
-    }
-
-    /// Acquire a core token for the duration of the returned guard.
-    pub fn enter(&self) -> Option<SemaphoreGuard> {
-        self.sem.as_ref().map(|s| s.acquire())
-    }
-}
+use std::sync::Arc;
 
 /// Everything a worker task needs to know about its placement.
 #[derive(Clone)]
@@ -100,8 +26,6 @@ pub struct TaskContext {
     pub mem: Arc<MemTracker>,
     /// Cluster-wide traffic counters.
     pub counters: Arc<Counters>,
-    /// CPU gate of this task's node.
-    pub gate: CoreGate,
     /// Per-run operator profiler; chain factories wrap each operator they
     /// build via [`TaskContext::instrument`].
     pub profiler: Option<Arc<Profiler>>,
@@ -151,34 +75,6 @@ impl TaskContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::time::Duration;
-
-    #[test]
-    fn semaphore_limits_concurrency() {
-        let sem = Semaphore::new(2);
-        let active = Arc::new(AtomicUsize::new(0));
-        let max_seen = Arc::new(AtomicUsize::new(0));
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                let (sem, active, max_seen) = (sem.clone(), active.clone(), max_seen.clone());
-                s.spawn(move || {
-                    let _g = sem.acquire();
-                    let now = active.fetch_add(1, Ordering::SeqCst) + 1;
-                    max_seen.fetch_max(now, Ordering::SeqCst);
-                    std::thread::sleep(Duration::from_millis(5));
-                    active.fetch_sub(1, Ordering::SeqCst);
-                });
-            }
-        });
-        assert!(max_seen.load(Ordering::SeqCst) <= 2);
-    }
-
-    #[test]
-    fn unlimited_gate_never_blocks() {
-        let g = CoreGate::unlimited();
-        assert!(g.enter().is_none());
-    }
 
     #[test]
     fn node_mapping() {
@@ -191,7 +87,6 @@ mod tests {
             frame_size: 1024,
             mem: MemTracker::new(),
             counters: Counters::new(),
-            gate: CoreGate::unlimited(),
             profiler: None,
             spill: SpillCtx::unlimited(),
             cancel: CancelToken::new(),

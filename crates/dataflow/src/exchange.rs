@@ -221,7 +221,6 @@ mod tests {
 #[cfg(test)]
 mod sender_tests {
     use super::*;
-    use crate::context::CoreGate;
     use crate::frame::FrameAppender;
     use crate::ops::FrameWriter;
     use crate::stats::{Counters, MemTracker};
@@ -236,7 +235,6 @@ mod sender_tests {
             frame_size: 1024,
             mem: MemTracker::new(),
             counters: Counters::new(),
-            gate: CoreGate::unlimited(),
             profiler: None,
             spill: crate::spill::SpillCtx::unlimited(),
             cancel: crate::cancel::CancelToken::new(),

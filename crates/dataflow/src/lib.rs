@@ -19,8 +19,9 @@
 //!   partitioning, and merge-to-one, backed by bounded channels.
 //! * [`job`] / [`cluster`] — job specifications (stage DAG) executed on a
 //!   simulated cluster of `nodes × partitions_per_node` worker threads,
-//!   with per-node core limits so that CPU-bound oversubscription behaves
-//!   like the paper's hyper-threading experiment (Fig. 17).
+//!   with per-node core limits in the timing model so that CPU-bound
+//!   oversubscription behaves like the paper's hyper-threading experiment
+//!   (Fig. 17).
 //! * [`stats`] — memory and network accounting (peak materialized bytes,
 //!   bytes crossing node boundaries), used by the Table-3 reproduction.
 //! * [`spill`] — memory-bounded execution: per-operator memory grants
@@ -52,7 +53,7 @@ pub mod trace;
 
 pub use cancel::{CancelReason, CancelToken};
 pub use cluster::{Cluster, ClusterSpec, Rows, RunOptions};
-pub use context::{CoreGate, TaskContext};
+pub use context::TaskContext;
 pub use error::{DataflowError, Result};
 pub use frame::{Frame, FrameAppender, TupleRef};
 pub use job::{

@@ -65,8 +65,8 @@ pub trait ScanSource: Send {
 }
 
 /// Creates per-partition scan sources. The context carries the partition
-/// index (which slice of the data to read), the node's CPU gate, and the
-/// counters scan implementations report raw bytes to.
+/// index (which slice of the data to read) and the counters scan
+/// implementations report raw bytes to.
 pub trait ScanSourceFactory: Send + Sync {
     fn create(&self, ctx: &crate::context::TaskContext) -> Result<Box<dyn ScanSource>>;
 }

@@ -1,13 +1,26 @@
-//! Incremental aggregators and their two-step (partial/merge) forms.
+//! The one aggregate fold, and the aggregator every GROUP-BY and
+//! AGGREGATE runs.
 //!
-//! Each aggregator evaluates an argument expression per input tuple and
-//! folds the resulting items into its state — the post-group-by-rules
-//! execution model ("incrementally calculate ... as each item of the
-//! sequence is fetched", §4.3). The `Merge*` forms implement the second
-//! step of Algebricks' two-step aggregation: partials computed per
-//! partition, merged at the destination partition.
+//! [`Fold`] defines what each [`AggFunc`] computes — `count`, `sum`,
+//! `avg`, `min`, `max`, the pre-rewrite `sequence`, and the two-step
+//! `partial-avg` / `merge-*` forms — exactly once. The paper's group-by
+//! rules (§4.3) change *where* an aggregate runs, never *what* it
+//! computes, so every evaluation strategy folds through it:
+//!
+//! * naive plans: [`crate::rtexpr::apply`] folds a whole materialized
+//!   sequence;
+//! * SUBPLAN: the compiled subplan folds one tuple's nested sequence,
+//!   member by member;
+//! * GROUP-BY and AGGREGATE: [`AggFactory`]'s aggregator folds its
+//!   argument once per input tuple ("incrementally calculate ... as each
+//!   item of the sequence is fetched", §4.3). The `merge-*` forms are the
+//!   second step of Algebricks' two-step aggregation: partials computed
+//!   per partition, merged at the destination partition.
+//!
+//! Errors are [`EngineError::Runtime`] raised here only, so a query fails
+//! with the same text under every rule configuration.
 
-use crate::error::EngineError;
+use crate::error::{EngineError, Result};
 use crate::rtexpr::RtExpr;
 use algebra::expr::AggFunc;
 use dataflow::ops::eval::{Aggregator, AggregatorFactory};
@@ -15,6 +28,100 @@ use dataflow::{DataflowError, TupleRef};
 use jdm::binary::write_item;
 use jdm::{Item, Number};
 use std::cmp::Ordering;
+
+/// The running state of one aggregate.
+#[derive(Debug)]
+pub struct Fold {
+    func: AggFunc,
+    /// Items folded (`count`, `avg`, `partial-avg`), or the partial counts
+    /// merged (`merge-avg`).
+    n: i64,
+    /// Running sum of `sum`, the averages and the count/sum merges.
+    total: Number,
+    /// Best item so far of `min` / `max` and their merges.
+    best: Option<Item>,
+    /// The items `sequence` buffers.
+    items: Vec<Item>,
+}
+
+impl Fold {
+    /// An empty fold of `func`.
+    pub fn new(func: AggFunc) -> Self {
+        Fold {
+            func,
+            n: 0,
+            total: Number::Int(0),
+            best: None,
+            items: Vec::new(),
+        }
+    }
+
+    /// Fold in `item`; a sequence folds each of its members (so the empty
+    /// sequence contributes nothing).
+    pub fn push(&mut self, item: &Item) -> Result<()> {
+        use AggFunc::*;
+        for it in item.iter_sequence() {
+            match self.func {
+                Count => self.n += 1,
+                Sum | Avg | PartialAvg | MergeCount | MergeSum => {
+                    let x = it.as_number().ok_or_else(|| {
+                        let name = if matches!(self.func, Avg | PartialAvg) {
+                            "avg"
+                        } else {
+                            "sum"
+                        };
+                        EngineError::Runtime(format!("{name}() over non-number {it}"))
+                    })?;
+                    self.total = self.total.add(x);
+                    self.n += 1;
+                }
+                MergeAvg => {
+                    let part = |key| it.get_key(key).and_then(Item::as_number);
+                    let missing = |key| EngineError::Runtime(format!("avg partial missing {key}"));
+                    self.total = self.total.add(part("sum").ok_or_else(|| missing("sum"))?);
+                    self.n += part("count")
+                        .and_then(Number::as_i64)
+                        .ok_or_else(|| missing("count"))?;
+                }
+                Min | Max | MergeMin | MergeMax => {
+                    let want = if matches!(self.func, Min | MergeMin) {
+                        Ordering::Less
+                    } else {
+                        Ordering::Greater
+                    };
+                    if self.best.as_ref().is_none_or(|b| it.total_cmp(b) == want) {
+                        self.best = Some(it.clone());
+                    }
+                }
+                Sequence => self.items.push(it.clone()),
+            }
+        }
+        Ok(())
+    }
+
+    /// The aggregate's value: the empty sequence for `avg`, `min` and
+    /// `max` of nothing. Takes what `sequence`, `min` and `max` hold.
+    pub fn finish(&mut self) -> Item {
+        use AggFunc::*;
+        match self.func {
+            Count => Item::int(self.n),
+            Sum | MergeCount | MergeSum => Item::Number(self.total),
+            Avg | MergeAvg if self.n == 0 => Item::empty(),
+            Avg | MergeAvg => Item::Number(self.total.div(Number::Int(self.n))),
+            PartialAvg => Item::Object(vec![
+                ("sum".into(), Item::Number(self.total)),
+                ("count".into(), Item::int(self.n)),
+            ]),
+            Min | Max | MergeMin | MergeMax => self.best.take().unwrap_or_else(Item::empty),
+            Sequence => Item::Sequence(std::mem::take(&mut self.items)),
+        }
+    }
+
+    /// Heap bytes of the items `sequence` buffers.
+    pub fn state_size(&self) -> usize {
+        self.items.iter().map(Item::heap_size).sum()
+    }
+}
 
 /// Factory producing one aggregator per group / partition.
 pub struct AggFactory {
@@ -24,240 +131,34 @@ pub struct AggFactory {
 
 impl AggregatorFactory for AggFactory {
     fn create(&self) -> Box<dyn Aggregator> {
-        match self.func {
-            AggFunc::Count => Box::new(CountAgg {
-                arg: self.arg.clone(),
-                n: 0,
-            }),
-            AggFunc::MergeCount | AggFunc::MergeSum => Box::new(SumAgg {
-                arg: self.arg.clone(),
-                total: Number::Int(0),
-                any: false,
-            }),
-            AggFunc::Sum => Box::new(SumAgg {
-                arg: self.arg.clone(),
-                total: Number::Int(0),
-                any: false,
-            }),
-            AggFunc::Avg => Box::new(AvgAgg {
-                arg: self.arg.clone(),
-                total: Number::Int(0),
-                n: 0,
-                partial: false,
-            }),
-            AggFunc::PartialAvg => Box::new(AvgAgg {
-                arg: self.arg.clone(),
-                total: Number::Int(0),
-                n: 0,
-                partial: true,
-            }),
-            AggFunc::MergeAvg => Box::new(MergeAvgAgg {
-                arg: self.arg.clone(),
-                total: Number::Int(0),
-                n: 0,
-            }),
-            AggFunc::Min | AggFunc::MergeMin => Box::new(MinMaxAgg {
-                arg: self.arg.clone(),
-                best: None,
-                want_min: true,
-            }),
-            AggFunc::Max | AggFunc::MergeMax => Box::new(MinMaxAgg {
-                arg: self.arg.clone(),
-                best: None,
-                want_min: false,
-            }),
-            AggFunc::Sequence => Box::new(SeqAgg {
-                arg: self.arg.clone(),
-                items: Vec::new(),
-            }),
-        }
+        Box::new(FoldAgg {
+            arg: self.arg.clone(),
+            fold: Fold::new(self.func),
+        })
     }
 }
 
-fn eval_arg(arg: &RtExpr, t: &TupleRef<'_>) -> Result<Item, DataflowError> {
-    arg.eval(t)
-        .map_err(|e: EngineError| DataflowError::Eval(e.to_string()))
-}
-
-/// `count`: counts items (a per-tuple empty sequence contributes 0).
-struct CountAgg {
+/// Evaluates its argument per tuple and folds the result.
+struct FoldAgg {
     arg: RtExpr,
-    n: i64,
+    fold: Fold,
 }
 
-impl Aggregator for CountAgg {
-    fn step(&mut self, t: &TupleRef<'_>) -> Result<(), DataflowError> {
-        let v = eval_arg(&self.arg, t)?;
-        self.n += v.sequence_len() as i64;
-        Ok(())
+impl Aggregator for FoldAgg {
+    fn step(&mut self, t: &TupleRef<'_>) -> dataflow::Result<()> {
+        self.arg
+            .eval(t)
+            .and_then(|v| self.fold.push(&v))
+            .map_err(|e| DataflowError::Eval(e.to_string()))
     }
 
-    fn finish(&mut self, out: &mut Vec<u8>) -> Result<(), DataflowError> {
-        write_item(&Item::int(self.n), out);
-        Ok(())
-    }
-}
-
-/// `sum` — also serves as `merge-count` / `merge-sum` (merging partial
-/// counts *is* summing them).
-struct SumAgg {
-    arg: RtExpr,
-    total: Number,
-    any: bool,
-}
-
-impl Aggregator for SumAgg {
-    fn step(&mut self, t: &TupleRef<'_>) -> Result<(), DataflowError> {
-        let v = eval_arg(&self.arg, t)?;
-        for it in v.iter_sequence() {
-            let n = it.as_number().ok_or_else(|| {
-                DataflowError::Eval(format!("sum aggregate over non-number {it}"))
-            })?;
-            self.total = self.total.add(n);
-            self.any = true;
-        }
-        Ok(())
-    }
-
-    fn finish(&mut self, out: &mut Vec<u8>) -> Result<(), DataflowError> {
-        write_item(&Item::Number(self.total), out);
-        Ok(())
-    }
-}
-
-/// `avg`, or its two-step local form emitting an `{"sum","count"}`
-/// partial object.
-struct AvgAgg {
-    arg: RtExpr,
-    total: Number,
-    n: i64,
-    partial: bool,
-}
-
-impl Aggregator for AvgAgg {
-    fn step(&mut self, t: &TupleRef<'_>) -> Result<(), DataflowError> {
-        let v = eval_arg(&self.arg, t)?;
-        for it in v.iter_sequence() {
-            let x = it.as_number().ok_or_else(|| {
-                DataflowError::Eval(format!("avg aggregate over non-number {it}"))
-            })?;
-            self.total = self.total.add(x);
-            self.n += 1;
-        }
-        Ok(())
-    }
-
-    fn finish(&mut self, out: &mut Vec<u8>) -> Result<(), DataflowError> {
-        let item = if self.partial {
-            Item::Object(vec![
-                ("sum".into(), Item::Number(self.total)),
-                ("count".into(), Item::int(self.n)),
-            ])
-        } else if self.n == 0 {
-            Item::empty()
-        } else {
-            Item::Number(self.total.div(Number::Int(self.n)))
-        };
-        write_item(&item, out);
-        Ok(())
-    }
-}
-
-/// Merge `{"sum","count"}` partials into the final average.
-struct MergeAvgAgg {
-    arg: RtExpr,
-    total: Number,
-    n: i64,
-}
-
-impl Aggregator for MergeAvgAgg {
-    fn step(&mut self, t: &TupleRef<'_>) -> Result<(), DataflowError> {
-        let v = eval_arg(&self.arg, t)?;
-        for it in v.iter_sequence() {
-            let sum = it
-                .get_key("sum")
-                .and_then(Item::as_number)
-                .ok_or_else(|| DataflowError::Eval("avg partial missing sum".into()))?;
-            let count = it
-                .get_key("count")
-                .and_then(Item::as_number)
-                .and_then(Number::as_i64)
-                .ok_or_else(|| DataflowError::Eval("avg partial missing count".into()))?;
-            self.total = self.total.add(sum);
-            self.n += count;
-        }
-        Ok(())
-    }
-
-    fn finish(&mut self, out: &mut Vec<u8>) -> Result<(), DataflowError> {
-        let item = if self.n == 0 {
-            Item::empty()
-        } else {
-            Item::Number(self.total.div(Number::Int(self.n)))
-        };
-        write_item(&item, out);
-        Ok(())
-    }
-}
-
-/// `min` / `max` (self-merging: the merge form is the same fold).
-struct MinMaxAgg {
-    arg: RtExpr,
-    best: Option<Item>,
-    want_min: bool,
-}
-
-impl Aggregator for MinMaxAgg {
-    fn step(&mut self, t: &TupleRef<'_>) -> Result<(), DataflowError> {
-        let v = eval_arg(&self.arg, t)?;
-        for it in v.iter_sequence() {
-            let better = match &self.best {
-                None => true,
-                Some(b) => {
-                    let ord = it.total_cmp(b);
-                    (self.want_min && ord == Ordering::Less)
-                        || (!self.want_min && ord == Ordering::Greater)
-                }
-            };
-            if better {
-                self.best = Some(it.clone());
-            }
-        }
-        Ok(())
-    }
-
-    fn finish(&mut self, out: &mut Vec<u8>) -> Result<(), DataflowError> {
-        write_item(
-            self.best.as_ref().unwrap_or(&Item::Sequence(Vec::new())),
-            out,
-        );
-        Ok(())
-    }
-}
-
-/// The pre-rewrite `AGGREGATE sequence`: buffers every item. Reports its
-/// state size so the memory tracker sees what the group-by rules remove.
-struct SeqAgg {
-    arg: RtExpr,
-    items: Vec<Item>,
-}
-
-impl Aggregator for SeqAgg {
-    fn step(&mut self, t: &TupleRef<'_>) -> Result<(), DataflowError> {
-        let v = eval_arg(&self.arg, t)?;
-        for it in v.iter_sequence() {
-            self.items.push(it.clone());
-        }
-        Ok(())
-    }
-
-    fn finish(&mut self, out: &mut Vec<u8>) -> Result<(), DataflowError> {
-        write_item(&Item::Sequence(std::mem::take(&mut self.items)), out);
+    fn finish(&mut self, out: &mut Vec<u8>) -> dataflow::Result<()> {
+        write_item(&self.fold.finish(), out);
         Ok(())
     }
 
     fn state_size(&self) -> usize {
-        self.items.iter().map(Item::heap_size).sum()
+        self.fold.state_size()
     }
 }
 

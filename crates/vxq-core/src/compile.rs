@@ -19,7 +19,7 @@
 //! | `AGGREGATE` | [local aggregate +] merge-to-one + aggregate |
 //! | `JOIN` | hash exchanges on extracted keys + hash join |
 
-use crate::aggs::AggFactory;
+use crate::aggs::{AggFactory, Fold};
 use crate::error::{EngineError, Result};
 use crate::pool::ScanBufferPool;
 use crate::rtexpr::{RtExpr, EXTRA_FIELD};
@@ -324,69 +324,21 @@ struct SubplanAggEval {
     arg: RtExpr,
 }
 
+impl SubplanAggEval {
+    fn fold(&self, tuple: &TupleRef<'_>) -> Result<Item> {
+        let mut fold = Fold::new(self.func);
+        for member in self.seq.eval(tuple)?.iter_sequence() {
+            fold.push(&self.arg.eval_with(tuple, Some(member))?)?;
+        }
+        Ok(fold.finish())
+    }
+}
+
 impl ScalarEvaluator for SubplanAggEval {
     fn eval(&mut self, tuple: &TupleRef<'_>, out: &mut Vec<u8>) -> dataflow::Result<()> {
-        let seq = self
-            .seq
-            .eval(tuple)
+        let result = self
+            .fold(tuple)
             .map_err(|e| DataflowError::Eval(e.to_string()))?;
-        let mut count = 0i64;
-        let mut sum = jdm::Number::Int(0);
-        let mut n = 0i64;
-        let mut best: Option<Item> = None;
-        let mut items: Vec<Item> = Vec::new();
-        for member in seq.iter_sequence() {
-            let v = self
-                .arg
-                .eval_with(tuple, Some(member))
-                .map_err(|e| DataflowError::Eval(e.to_string()))?;
-            for it in v.iter_sequence() {
-                count += 1;
-                match self.func {
-                    AggFunc::Sum | AggFunc::Avg => {
-                        let x = it.as_number().ok_or_else(|| {
-                            DataflowError::Eval(format!("aggregate over non-number {it}"))
-                        })?;
-                        sum = sum.add(x);
-                        n += 1;
-                    }
-                    AggFunc::Min | AggFunc::Max => {
-                        let better = match &best {
-                            None => true,
-                            Some(b) => {
-                                let ord = it.total_cmp(b);
-                                (self.func == AggFunc::Min && ord.is_lt())
-                                    || (self.func == AggFunc::Max && ord.is_gt())
-                            }
-                        };
-                        if better {
-                            best = Some(it.clone());
-                        }
-                    }
-                    AggFunc::Sequence => items.push(it.clone()),
-                    _ => {}
-                }
-            }
-        }
-        let result = match self.func {
-            AggFunc::Count => Item::int(count),
-            AggFunc::Sum => Item::Number(sum),
-            AggFunc::Avg => {
-                if n == 0 {
-                    Item::empty()
-                } else {
-                    Item::Number(sum.div(jdm::Number::Int(n)))
-                }
-            }
-            AggFunc::Min | AggFunc::Max => best.unwrap_or_else(Item::empty),
-            AggFunc::Sequence => Item::Sequence(items),
-            other => {
-                return Err(DataflowError::Eval(format!(
-                    "unsupported subplan aggregate {}",
-                    other.name()
-                )))
-            }
-        };
         write_item(&result, out);
         Ok(())
     }

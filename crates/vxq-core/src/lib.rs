@@ -11,9 +11,10 @@
 //! * [`rtexpr`] — runtime expression evaluation (JSONiq `value`,
 //!   `keys-or-members`, comparisons, arithmetic, dateTime functions) over
 //!   binary tuples.
-//! * [`aggs`] — incremental aggregators (`count`, `sum`, `avg`, `min`,
-//!   `max`), their two-step partial/merge forms, and the
-//!   sequence-materializing aggregator of the pre-rewrite plans.
+//! * [`aggs`] — the one aggregate fold (`count`, `sum`, `avg`, `min`,
+//!   `max`, their two-step partial/merge forms, and the
+//!   sequence-materializing aggregate of the pre-rewrite plans) shared by
+//!   naive plans, SUBPLANs and GROUP-BY / AGGREGATE.
 //! * [`scan`] — DATASCAN runtimes: the projecting partitioned file scan
 //!   (post-pipelining-rules) and the naive whole-collection /
 //!   single-document scans (pre-rules).

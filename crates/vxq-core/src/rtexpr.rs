@@ -12,8 +12,9 @@
 //!
 //! Errors raised while evaluating are [`EngineError::Runtime`].
 
+use crate::aggs::Fold;
 use crate::error::{EngineError, Result};
-use algebra::expr::Function;
+use algebra::expr::{AggFunc, Function};
 use dataflow::TupleRef;
 use jdm::binary::{tag, write_item, ItemRef};
 use jdm::{DateTime, Item, Number};
@@ -412,55 +413,10 @@ pub fn apply(f: Function, mut args: Vec<Item>) -> Result<Item> {
                 None => Ok(Item::empty()),
             }
         }
-        Count => {
-            let arg = args.pop().expect("count arity");
-            Ok(Item::int(arg.sequence_len() as i64))
-        }
-        Sum => {
-            let arg = args.pop().expect("sum arity");
-            let mut total = Number::Int(0);
-            for it in arg.iter_sequence() {
-                let n = it
-                    .as_number()
-                    .ok_or_else(|| EngineError::Runtime(format!("sum() over non-number {it}")))?;
-                total = total.add(n);
-            }
-            Ok(Item::Number(total))
-        }
-        Avg => {
-            let arg = args.pop().expect("avg arity");
-            let mut total = Number::Int(0);
-            let mut n = 0i64;
-            for it in arg.iter_sequence() {
-                let v = it
-                    .as_number()
-                    .ok_or_else(|| EngineError::Runtime(format!("avg() over non-number {it}")))?;
-                total = total.add(v);
-                n += 1;
-            }
-            if n == 0 {
-                Ok(Item::empty())
-            } else {
-                Ok(Item::Number(total.div(Number::Int(n))))
-            }
-        }
-        Min | Max => {
-            let arg = args.pop().expect("min/max arity");
-            let mut best: Option<Item> = None;
-            for it in arg.iter_sequence() {
-                let better = match &best {
-                    None => true,
-                    Some(b) => {
-                        let ord = it.total_cmp(b);
-                        (f == Min && ord == Ordering::Less)
-                            || (f == Max && ord == Ordering::Greater)
-                    }
-                };
-                if better {
-                    best = Some(it.clone());
-                }
-            }
-            Ok(best.unwrap_or_else(Item::empty))
+        Count | Sum | Avg | Min | Max => {
+            let mut fold = Fold::new(AggFunc::from_scalar(f).expect("an aggregate"));
+            fold.push(&args.pop().expect("aggregate arity"))?;
+            Ok(fold.finish())
         }
         Collection | JsonDoc => Err(EngineError::Runtime(
             "collection()/json-doc() must be compiled to a scan, not evaluated".into(),

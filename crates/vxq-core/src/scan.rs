@@ -70,12 +70,10 @@ use std::time::{Duration, Instant, SystemTime};
 /// Knobs of the projected DATASCAN (part of the engine configuration).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScanOptions {
-    /// Allow record-aligned ranges of one large file to fan out across
-    /// the partitions of a node (on by default; turn off to reproduce
-    /// whole-file-granular scans).
-    pub intra_file_splits: bool,
     /// Files smaller than this never split, and splits are never smaller
-    /// than this (bounds per-split overhead).
+    /// than this (bounds per-split overhead). Record-aligned ranges of a
+    /// larger file fan out across the partitions of a node; `u64::MAX`
+    /// reproduces whole-file-granular scans.
     pub min_split_bytes: u64,
     /// Stage-1 mode for structural-index builds: SWAR or the scalar
     /// per-byte scan (the default honours the `VXQ_STAGE1` environment
@@ -86,7 +84,6 @@ pub struct ScanOptions {
 impl Default for ScanOptions {
     fn default() -> Self {
         ScanOptions {
-            intra_file_splits: true,
             min_split_bytes: 64 * 1024,
             stage1: Stage1Mode::from_env(),
         }
@@ -357,7 +354,7 @@ fn assign_splits(
 ) -> Vec<Vec<ScanSplit>> {
     let mut splits = Vec::with_capacity(files.len());
     for (i, f) in files.iter().enumerate() {
-        let pieces = if splittable && !f.is_adm() && opts.intra_file_splits && nparts > 1 {
+        let pieces = if splittable && !f.is_adm() && nparts > 1 {
             ((f.size / opts.min_split_bytes.max(1)) as usize).clamp(1, nparts)
         } else {
             1
@@ -722,7 +719,6 @@ impl ScanSource for EmptyTupleScan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dataflow::context::CoreGate;
     use dataflow::stats::{Counters, MemTracker};
 
     fn ctx(partition: usize, num_partitions: usize, ppn: usize) -> TaskContext {
@@ -735,7 +731,6 @@ mod tests {
             frame_size: 4096,
             mem: MemTracker::new(),
             counters: Counters::new(),
-            gate: CoreGate::unlimited(),
             profiler: None,
             spill: dataflow::spill::SpillCtx::unlimited(),
             cancel: dataflow::CancelToken::new(),
@@ -809,7 +804,6 @@ mod tests {
         // tile each file exactly.
         let (dir, all) = layout(1, 3);
         let opts = ScanOptions {
-            intra_file_splits: true,
             min_split_bytes: 1,
             ..ScanOptions::default()
         };
@@ -837,7 +831,6 @@ mod tests {
     fn unsplittable_paths_get_whole_files() {
         let (dir, _) = layout(1, 2);
         let opts = ScanOptions {
-            intra_file_splits: true,
             min_split_bytes: 1,
             ..ScanOptions::default()
         };
@@ -892,7 +885,6 @@ mod tests {
             std::fs::write(dir.join(format!("b-small{f}.json")), vec![b' '; 1024]).unwrap();
         }
         let opts = ScanOptions {
-            intra_file_splits: true,
             min_split_bytes: 1024,
             ..ScanOptions::default()
         };
@@ -917,7 +909,6 @@ mod tests {
         let item = jdm::parse::parse_item(br#"{"root": [1, 2, 3, 4]}"#).unwrap();
         std::fs::write(dir.join("a.adm"), jdm::binary::to_bytes(&item)).unwrap();
         let opts = ScanOptions {
-            intra_file_splits: true,
             min_split_bytes: 1,
             ..ScanOptions::default()
         };
@@ -978,7 +969,6 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("a.json"), br#"{"root": [1, 2, 3, 4]}"#).unwrap();
         let opts = ScanOptions {
-            intra_file_splits: true,
             min_split_bytes: 1,
             ..ScanOptions::default()
         };

@@ -2,13 +2,18 @@
 //! binary tuple encoding must agree with direct tree-model navigation,
 //! grouped aggregation must be partition-invariant, and the zero-copy
 //! evaluator (`RtExpr::eval_ref`) must agree with `apply` over decoded
-//! items — same values, same error text.
+//! items — same values, same error text — and every aggregate must give
+//! the same value or error whether it folds a whole sequence, one item
+//! per tuple, or partials merged in two steps.
 
-use algebra::expr::Function;
+use algebra::expr::{AggFunc, Function};
 use dataflow::frame::frames_from_rows;
-use jdm::binary::to_bytes;
+use dataflow::ops::eval::AggregatorFactory;
+use dataflow::DataflowError;
+use jdm::binary::{to_bytes, ItemRef};
 use jdm::{DateTime, Item, Number};
 use proptest::prelude::*;
+use vxq_core::aggs::AggFactory;
 use vxq_core::rtexpr::{apply, canonicalize, keys_or_members, value_step, RtExpr};
 
 fn arb_json(depth: u32) -> impl Strategy<Value = Item> {
@@ -295,4 +300,74 @@ fn eval_ref_edge_cases() {
         .unwrap()
         .write(&mut out);
     assert_eq!(out, to_bytes(&Item::int(2)));
+}
+
+/// Members of an aggregate's input: small integers, integral doubles (so
+/// sums are exact in any order), strings and empty sequences.
+fn arb_agg_member() -> impl Strategy<Value = Item> {
+    prop_oneof![
+        (-5i64..5).prop_map(Item::int),
+        (-5i64..5).prop_map(Item::int),
+        (-5i64..5).prop_map(|i| Item::double(i as f64)),
+        "[a-c]{0,2}".prop_map(Item::str),
+        Just(Item::empty()),
+    ]
+}
+
+/// Run the GROUP-BY / AGGREGATE aggregator of `func` over `items`, one
+/// item per tuple. An error is its evaluation message.
+fn aggregate(func: AggFunc, items: &[Item]) -> Result<Item, String> {
+    let rows: Vec<Vec<Vec<u8>>> = items.iter().map(|it| vec![to_bytes(it)]).collect();
+    let mut agg = AggFactory {
+        func,
+        arg: RtExpr::Field(0),
+    }
+    .create();
+    let eval_text = |e: DataflowError| match e {
+        DataflowError::Eval(m) => m,
+        other => panic!("not an evaluation error: {other}"),
+    };
+    for frame in frames_from_rows(&rows, 4096) {
+        for t in frame.tuples() {
+            agg.step(&t).map_err(eval_text)?;
+        }
+    }
+    let mut out = Vec::new();
+    agg.finish(&mut out).map_err(eval_text)?;
+    Ok(ItemRef::new(&out).unwrap().to_item().unwrap())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `apply` over the whole sequence, the aggregator stepped per item,
+    /// and the two-step local/merge pair over a random chunking agree on
+    /// the value or on the error text.
+    #[test]
+    fn aggregate_routes_agree(
+        items in prop::collection::vec(arb_agg_member(), 0..10),
+        cuts in prop::collection::vec(1usize..4, 1..6),
+    ) {
+        let mut chunks = Vec::new();
+        let mut rest = items.as_slice();
+        for cut in cuts.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (chunk, tail) = rest.split_at((*cut).min(rest.len()));
+            chunks.push(chunk);
+            rest = tail;
+        }
+        for f in [Function::Count, Function::Sum, Function::Avg, Function::Min, Function::Max] {
+            let func = AggFunc::from_scalar(f).unwrap();
+            let whole = apply(f, vec![Item::seq(items.iter().cloned())]).map_err(|e| e.to_string());
+            prop_assert_eq!(&aggregate(func, &items), &whole, "{:?} per item over {:?}", f, items);
+
+            let (local, global) = func.two_step().unwrap();
+            let partials: Result<Vec<Item>, String> =
+                chunks.iter().map(|chunk| aggregate(local, chunk)).collect();
+            let merged = partials.and_then(|p| aggregate(global, &p));
+            prop_assert_eq!(&merged, &whole, "{:?} over {:?} in {:?}", f, items, chunks);
+        }
+    }
 }

@@ -286,3 +286,112 @@ fn deeply_nested_binary_item_is_a_typed_error() {
         }
     }
 }
+
+/// Aggregates fold through one definition, so a query gives the same rows
+/// or fails with the same error text under every rule configuration: the
+/// naive plans (`apply` over a materialized sequence), SUBPLANs, and
+/// (two-step) GROUP-BY / AGGREGATE.
+#[test]
+fn aggregate_errors_and_rows_agree_across_rule_configs() {
+    // Two node directories, two stations; the only non-number is one
+    // `"value": "x"`, so every failing tuple reports the same message
+    // whichever partition fails first.
+    let root = scratch("agg-parity");
+    for node in 0..2 {
+        let dir = root.join(format!("sensors/node{node}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let records: Vec<String> = (0..6)
+            .map(|i| {
+                let value = if node == 1 && i == 3 {
+                    r#""x""#.to_string()
+                } else {
+                    (i * 10 - node * 7).to_string()
+                };
+                format!(
+                    r#"{{"station": "S{}", "date": "D{i}", "value": {value}}}"#,
+                    i % 2
+                )
+            })
+            .collect();
+        let doc = format!(r#"{{"root": [{{"results": [{}]}}]}}"#, records.join(", "));
+        std::fs::write(dir.join("part.json"), doc).unwrap();
+    }
+    let records = r#"collection("/sensors")("root")()("results")()"#;
+    let grouped =
+        |ret: &str| format!("for $r in {records} group by $s := $r(\"station\") return {ret}");
+
+    let two_step_off = algebra::rules::RuleConfig {
+        two_step_aggregation: false,
+        ..algebra::rules::RuleConfig::all()
+    };
+    let configs = [
+        algebra::rules::RuleConfig::none(),
+        algebra::rules::RuleConfig::path_only(),
+        algebra::rules::RuleConfig::path_and_pipelining(),
+        two_step_off,
+        algebra::rules::RuleConfig::all(),
+    ];
+    // Sorted row images, or the error text, under every config at 1x1
+    // and 2x2; all must be equal.
+    let outcomes = |query: &str| -> Vec<Result<Vec<String>, String>> {
+        let mut out = Vec::new();
+        for (nodes, partitions_per_node) in [(1, 1), (2, 2)] {
+            for rules in configs {
+                let e = Engine::new(EngineConfig {
+                    cluster: ClusterSpec {
+                        nodes,
+                        partitions_per_node,
+                        ..Default::default()
+                    },
+                    rules,
+                    data_root: root.clone(),
+                    ..Default::default()
+                });
+                out.push(e.execute(query).map_err(|e| e.to_string()).map(|r| {
+                    let mut rows: Vec<String> =
+                        r.rows.iter().map(|row| format!("{row:?}")).collect();
+                    rows.sort();
+                    rows
+                }));
+            }
+        }
+        out
+    };
+
+    for (query, function) in [
+        (
+            format!("avg(for $r in {records} return $r(\"value\"))"),
+            "avg",
+        ),
+        (grouped("avg($r(\"value\"))"), "avg"),
+        (grouped("sum($r(\"value\"))"), "sum"),
+        (grouped("avg(for $i in $r return $i(\"value\"))"), "avg"),
+    ] {
+        let all = outcomes(&query);
+        let first = all[0]
+            .clone()
+            .expect_err("a non-number fails the aggregate");
+        assert!(
+            first.contains(&format!("{function}() over non-number \"x\"")),
+            "{query}: {first}"
+        );
+        for got in &all {
+            assert_eq!(got.as_ref(), Err(&first), "{query}");
+        }
+    }
+
+    for query in [
+        format!("sum(for $r in {records} return $r(\"nokey\"))"),
+        grouped("sum($r(\"nokey\"))"),
+        grouped("min($r(\"nokey\"))"),
+        grouped("avg($r(\"nokey\"))"),
+        grouped("max(for $i in $r return $i(\"nokey\"))"),
+    ] {
+        let all = outcomes(&query);
+        let first = all[0].clone().expect("a missing key is no error");
+        assert!(!first.is_empty(), "{query}");
+        for got in &all {
+            assert_eq!(got.as_ref(), Ok(&first), "{query}");
+        }
+    }
+}

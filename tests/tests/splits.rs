@@ -52,7 +52,6 @@ fn engine(nodes: usize, ppn: usize, scan: ScanOptions) -> Engine {
 
 fn splits_on() -> ScanOptions {
     ScanOptions {
-        intra_file_splits: true,
         // Low threshold so the test file (well under 64 KiB per split)
         // still fans out.
         min_split_bytes: 1024,
@@ -62,7 +61,8 @@ fn splits_on() -> ScanOptions {
 
 fn splits_off() -> ScanOptions {
     ScanOptions {
-        intra_file_splits: false,
+        // No file is this large, so every file is one whole-file split.
+        min_split_bytes: u64::MAX,
         ..ScanOptions::default()
     }
 }
