@@ -72,9 +72,16 @@ pub enum LogicalOp {
     /// Scan a data source, extending the input tuple with one field per
     /// item produced. `project` is the pushed-down path — the paper's
     /// "second argument" of DATASCAN (§4.2). Empty path = whole files.
+    ///
+    /// `filter` is a reject-only pre-filter over `var`: a copy of the
+    /// conjuncts of the SELECT above the scan that the scan can test on
+    /// the raw record (see `push-select-into-datascan`). The scan may
+    /// drop an item only when the filter is surely false without error;
+    /// the SELECT stays in the plan as the exact check.
     DataScan {
         source: DataSource,
         project: ProjectionPath,
+        filter: Option<LogicalExpr>,
         var: VarId,
         input: Box<LogicalOp>,
     },
@@ -193,6 +200,7 @@ impl LogicalOp {
     /// Expressions evaluated by this operator (excluding children).
     pub fn exprs(&self) -> Vec<&LogicalExpr> {
         match self {
+            LogicalOp::DataScan { filter, .. } => filter.iter().collect(),
             LogicalOp::Assign { expr, .. } | LogicalOp::Unnest { expr, .. } => vec![expr],
             LogicalOp::Select { cond, .. } | LogicalOp::Join { cond, .. } => vec![cond],
             LogicalOp::Aggregate { arg, .. } => vec![arg],
@@ -206,6 +214,7 @@ impl LogicalOp {
     /// Mutable expressions.
     pub fn exprs_mut(&mut self) -> Vec<&mut LogicalExpr> {
         match self {
+            LogicalOp::DataScan { filter, .. } => filter.iter_mut().collect(),
             LogicalOp::Assign { expr, .. } | LogicalOp::Unnest { expr, .. } => vec![expr],
             LogicalOp::Select { cond, .. } | LogicalOp::Join { cond, .. } => vec![cond],
             LogicalOp::Aggregate { arg, .. } => vec![arg],
@@ -319,14 +328,21 @@ fn explain_op(op: &LogicalOp, indent: usize, out: &mut String) {
         LogicalOp::DataScan {
             source,
             project,
+            filter,
             var,
             ..
         } => {
-            let _ = writeln!(
+            let _ = write!(
                 out,
                 "data-scan {var} <- collection(\"{}\") project {}",
                 source.path, project
             );
+            match filter {
+                Some(f) => {
+                    let _ = writeln!(out, " filter {f}");
+                }
+                None => out.push('\n'),
+            }
         }
         LogicalOp::Assign { var, expr, .. } => {
             let _ = writeln!(out, "assign {var} := {expr}");

@@ -159,7 +159,7 @@ pub struct PushSideExpressionsBelowJoin;
 /// navigation, the coercion scaffolding, comparisons and the boolean
 /// connectives, whose evaluation is total. `dateTime`, arithmetic and the
 /// aggregates can fail on the wrong input.
-fn error_free(e: &LogicalExpr) -> bool {
+pub(crate) fn error_free(e: &LogicalExpr) -> bool {
     use Function::*;
     match e {
         LogicalExpr::Var(_) | LogicalExpr::Const(_) => true,

@@ -10,12 +10,18 @@
 //! |---|---|
 //! | base (always on) | [`base::RemoveDeadAssign`], [`base::PushSelectIntoJoin`], [`base::PushSideExpressionsBelowJoin`] |
 //! | path expression | [`path::EliminatePromoteData`], [`path::MergeKeysOrMembersIntoUnnest`] |
-//! | pipelining | [`pipelining::IntroduceDataScan`], [`pipelining::PushValueIntoDataScan`], [`pipelining::PushKeysOrMembersIntoDataScan`] |
+//! | pipelining | [`pipelining::IntroduceDataScan`], [`pipelining::PushValueIntoDataScan`], [`pipelining::PushKeysOrMembersIntoDataScan`], [`pipelining::PushIterateValueChainIntoDataScan`], [`pipelining::PushSelectIntoDataScan`] (only with [`RuleConfig::select_into_scan`]) |
 //! | group-by | [`groupby::RemoveTreat`], [`groupby::ConvertScalarAggregateToSubplan`], [`groupby::PushSubplanAggregateIntoGroupBy`] |
 //!
 //! Two-step aggregation (the rule "introduced in \[17\]" that the group-by
 //! family activates) is a physical-planning decision; [`RuleConfig`]
 //! carries the flag and the job compiler honours it.
+//!
+//! `push-select-into-datascan` is not one of the paper's rules: it gives
+//! the DATASCAN a reject-only copy of the SELECT above it, tested on the
+//! raw record before the record is written (Sparser-style raw filtering).
+//! Like two-step aggregation it has its own flag, on only in
+//! [`RuleConfig::all`]; the paper's figures run [`RuleConfig::paper`].
 
 pub mod base;
 pub mod groupby;
@@ -45,6 +51,10 @@ pub struct RuleConfig {
     pub group_by_rules: bool,
     /// Two-step (local/global) aggregation at the physical level.
     pub two_step_aggregation: bool,
+    /// Copy SELECT conjuncts into the DATASCAN as a reject-only tape
+    /// filter (`push-select-into-datascan`; needs the pipelining rules,
+    /// which introduce the DATASCAN).
+    pub select_into_scan: bool,
 }
 
 impl Default for RuleConfig {
@@ -61,6 +71,16 @@ impl RuleConfig {
             pipelining_rules: true,
             group_by_rules: true,
             two_step_aggregation: true,
+            select_into_scan: true,
+        }
+    }
+
+    /// Every rule of the paper, without the scan filter, which the paper
+    /// does not have: the "after all rules" plans of Figs. 15 and 16.
+    pub fn paper() -> Self {
+        RuleConfig {
+            select_into_scan: false,
+            ..RuleConfig::all()
         }
     }
 
@@ -71,6 +91,7 @@ impl RuleConfig {
             pipelining_rules: false,
             group_by_rules: false,
             two_step_aggregation: false,
+            select_into_scan: false,
         }
     }
 
@@ -122,6 +143,9 @@ impl RuleSet {
             rules.push(Box::<pipelining::PushValueIntoDataScan>::default());
             rules.push(Box::<pipelining::PushKeysOrMembersIntoDataScan>::default());
             rules.push(Box::new(pipelining::PushIterateValueChainIntoDataScan));
+            if config.select_into_scan {
+                rules.push(Box::new(pipelining::PushSelectIntoDataScan));
+            }
         }
         if config.group_by_rules {
             rules.push(Box::new(groupby::RemoveTreat));

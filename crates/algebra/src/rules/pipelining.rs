@@ -82,6 +82,7 @@ impl Rule for IntroduceDataScan {
                     partitioned: true,
                 },
                 project: ProjectionPath::root(),
+                filter: None,
                 var: *u,
                 input: Box::new(take_op(a_input)),
             };
@@ -126,6 +127,7 @@ impl Rule for PushValueIntoDataScan {
             }
             let LogicalOp::DataScan {
                 project,
+                filter: None,
                 var,
                 input: s_input,
                 source,
@@ -148,6 +150,7 @@ impl Rule for PushValueIntoDataScan {
             let scan = LogicalOp::DataScan {
                 source: source.clone(),
                 project: new_project,
+                filter: None,
                 var: *a,
                 input: Box::new(take_op(s_input)),
             };
@@ -196,6 +199,7 @@ impl Rule for PushKeysOrMembersIntoDataScan {
             };
             let LogicalOp::DataScan {
                 project,
+                filter: None,
                 var,
                 input: s_input,
                 source,
@@ -216,6 +220,7 @@ impl Rule for PushKeysOrMembersIntoDataScan {
             let scan = LogicalOp::DataScan {
                 source: source.clone(),
                 project: new_project,
+                filter: None,
                 var: *u,
                 input: Box::new(take_op(s_input)),
             };
@@ -263,6 +268,7 @@ impl Rule for PushIterateValueChainIntoDataScan {
             }
             let LogicalOp::DataScan {
                 project,
+                filter: None,
                 var,
                 input: s_input,
                 source,
@@ -280,10 +286,156 @@ impl Rule for PushIterateValueChainIntoDataScan {
             let scan = LogicalOp::DataScan {
                 source: source.clone(),
                 project: new_project,
+                filter: None,
                 var: *u,
                 input: Box::new(take_op(s_input)),
             };
             *op = scan;
+            true
+        })
+    }
+}
+
+/// Copy the conjuncts of a SELECT that the scan can test on the raw
+/// record into the DATASCAN below it, as the scan's reject-only `filter`:
+/// SELECT ← ASSIGN* ← DATASCAN becomes the same plan with
+/// `DATASCAN(..., filter)`. The ASSIGN variables the conjuncts read are
+/// inlined, so the filter reads only the scan variable. The SELECT and
+/// the ASSIGNs stay: the filter only lets the scan skip records the
+/// SELECT would surely drop, and the SELECT still decides the rest.
+///
+/// The scan evaluates [`tape_evaluable`] expressions. A record the filter
+/// rejects never reaches the operators above, so an error they would have
+/// raised on it would be lost. The rule therefore does not fire when a
+/// conjunct left out of the filter, or an ASSIGN of the chain the filter
+/// does not evaluate, could fail (`base::error_free`); the
+/// filter itself lets through every record it cannot evaluate without
+/// error.
+pub struct PushSelectIntoDataScan;
+
+/// True when `e` is in the grammar the scan's tape filter evaluates over
+/// the scan variable `var`: paths ([`tape_path`]), atomic constants,
+/// `dateTime(path)`, the year/month/day accessors, the six comparisons
+/// and `and`/`or`/`not`, each through the `promote`/`data`/`treat`
+/// scaffolding.
+pub fn tape_evaluable(e: &LogicalExpr, var: VarId) -> bool {
+    use Function::*;
+    match e {
+        LogicalExpr::Var(_) => tape_path(e, var).is_some(),
+        LogicalExpr::Const(item) => {
+            !matches!(item, Item::Sequence(_) | Item::Array(_) | Item::Object(_))
+        }
+        LogicalExpr::Call(f, args) => match (f, args.as_slice()) {
+            (Value, _) => tape_path(e, var).is_some(),
+            (Promote | Data | TreatItem, [a]) => tape_evaluable(a, var),
+            (DateTime, [a]) => tape_path(a, var).is_some(),
+            (YearFromDateTime | MonthFromDateTime | DayFromDateTime | Not, [a]) => {
+                tape_evaluable(a, var)
+            }
+            (Eq | Ne | Ge | Le | Gt | Lt, [l, r]) => {
+                tape_evaluable(l, var) && tape_evaluable(r, var)
+            }
+            (And | Or, [_, ..]) => args.iter().all(|a| tape_evaluable(a, var)),
+            _ => false,
+        },
+    }
+}
+
+/// The keys of a tape path: `var` under `value` steps with constant
+/// string keys, through the coercion scaffolding. `None` for anything
+/// else.
+pub fn tape_path(e: &LogicalExpr, var: VarId) -> Option<Vec<String>> {
+    match e {
+        LogicalExpr::Var(v) if *v == var => Some(Vec::new()),
+        LogicalExpr::Call(Function::Value, args) => match args.as_slice() {
+            [base, LogicalExpr::Const(Item::String(k))] => {
+                let mut keys = tape_path(base, var)?;
+                keys.push(k.to_string());
+                Some(keys)
+            }
+            _ => None,
+        },
+        LogicalExpr::Call(Function::Promote | Function::Data | Function::TreatItem, args) => {
+            match args.as_slice() {
+                [a] => tape_path(a, var),
+                _ => None,
+            }
+        }
+        _ => None,
+    }
+}
+
+/// The filter for a SELECT with condition `cond` over `input`, when
+/// `input` is a chain of ASSIGNs over a DATASCAN without a filter and the
+/// rule may fire.
+fn scan_filter(cond: &LogicalExpr, input: &LogicalOp) -> Option<LogicalExpr> {
+    // The chain, nearest the SELECT first.
+    let mut chain: Vec<(VarId, &LogicalExpr)> = Vec::new();
+    let mut op = input;
+    let scan_var = loop {
+        match op {
+            LogicalOp::Assign { var, expr, input } => {
+                chain.push((*var, expr));
+                op = input;
+            }
+            LogicalOp::DataScan {
+                filter: None, var, ..
+            } => break *var,
+            _ => return None,
+        }
+    };
+    let mut kept = Vec::new();
+    let mut read: Vec<VarId> = Vec::new();
+    for c in cond.conjuncts() {
+        let mut inlined = c.clone();
+        // Each ASSIGN reads only the ones below it, so one pass from the
+        // top inlines the whole chain.
+        for (v, e) in &chain {
+            inlined.substitute_var_expr(*v, e);
+        }
+        if tape_evaluable(&inlined, scan_var) {
+            c.collect_vars(&mut read);
+            kept.push(inlined);
+        } else if !super::base::error_free(c) {
+            return None;
+        }
+    }
+    if kept.is_empty() {
+        return None;
+    }
+    // The ASSIGNs the filter evaluates: those its conjuncts read, directly
+    // or through another ASSIGN. Every other one must be unable to fail.
+    for (v, e) in &chain {
+        if read.contains(v) {
+            e.collect_vars(&mut read);
+        } else if !super::base::error_free(e) {
+            return None;
+        }
+    }
+    Some(LogicalExpr::conjoin(kept))
+}
+
+impl Rule for PushSelectIntoDataScan {
+    fn name(&self) -> &'static str {
+        "push-select-into-datascan"
+    }
+
+    fn apply(&self, plan: &mut LogicalPlan) -> bool {
+        transform_bottom_up(&mut plan.root, &mut |op| {
+            let LogicalOp::Select { cond, input } = op else {
+                return false;
+            };
+            let Some(new_filter) = scan_filter(cond, input) else {
+                return false;
+            };
+            let mut scan = input.as_mut();
+            while let LogicalOp::Assign { input, .. } = scan {
+                scan = input;
+            }
+            let LogicalOp::DataScan { filter, .. } = scan else {
+                unreachable!("scan_filter found a DATASCAN under the chain");
+            };
+            *filter = Some(new_filter);
             true
         })
     }
@@ -380,6 +532,167 @@ mod tests {
         }
         MergeKeysOrMembersIntoUnnest.apply(&mut plan);
         assert!(!IntroduceDataScan.apply(&mut plan));
+    }
+
+    /// SELECT `cond` over `assigns` (nearest the SELECT first) over a
+    /// DATASCAN binding `$0`.
+    fn select_over_scan(cond: LogicalExpr, assigns: Vec<(u32, LogicalExpr)>) -> LogicalPlan {
+        let mut op = LogicalOp::DataScan {
+            source: DataSource {
+                path: "/s".into(),
+                partitioned: true,
+            },
+            project: ProjectionPath::root(),
+            filter: None,
+            var: VarId(0),
+            input: Box::new(LogicalOp::EmptyTupleSource),
+        };
+        for (v, e) in assigns.into_iter().rev() {
+            op = LogicalOp::Assign {
+                var: VarId(v),
+                expr: e,
+                input: Box::new(op),
+            };
+        }
+        LogicalPlan::new(LogicalOp::Distribute {
+            exprs: vec![LogicalExpr::Var(VarId(0))],
+            input: Box::new(LogicalOp::Select {
+                cond,
+                input: Box::new(op),
+            }),
+        })
+    }
+
+    fn call(f: Function, args: Vec<LogicalExpr>) -> LogicalExpr {
+        LogicalExpr::Call(f, args)
+    }
+
+    fn var(v: u32) -> LogicalExpr {
+        LogicalExpr::Var(VarId(v))
+    }
+
+    #[test]
+    fn select_is_copied_into_the_scan_with_its_assigns_inlined() {
+        // SELECT eq(month($2), 12) and eq($1, "x") over $2 := dateTime($1),
+        // $1 := value($0, "d").
+        let cond = call(
+            Function::And,
+            vec![
+                call(
+                    Function::Eq,
+                    vec![
+                        call(Function::MonthFromDateTime, vec![var(2)]),
+                        LogicalExpr::Const(Item::int(12)),
+                    ],
+                ),
+                call(
+                    Function::Eq,
+                    vec![var(1), LogicalExpr::Const(Item::str("x"))],
+                ),
+            ],
+        );
+        let mut plan = select_over_scan(
+            cond,
+            vec![
+                (2, call(Function::DateTime, vec![var(1)])),
+                (1, LogicalExpr::value_key(var(0), "d")),
+            ],
+        );
+        let before = plan.shape();
+        assert!(PushSelectIntoDataScan.apply(&mut plan));
+        let text = plan.explain();
+        assert!(
+            text.contains(
+                r#"filter and(eq(month-from-dateTime(dateTime(value($0, "d"))), 12), eq(value($0, "d"), "x"))"#
+            ),
+            "{text}"
+        );
+        assert_eq!(plan.shape(), before, "the SELECT and ASSIGNs stay");
+        assert!(!PushSelectIntoDataScan.apply(&mut plan), "fires once");
+        // The filter's two reads of the scan variable count as uses (with
+        // the ASSIGN's and the DISTRIBUTE's), so no pushdown rule, which
+        // needs a single use, can rebind the variable under the filter.
+        assert_eq!(plan.root.var_use_count(VarId(0)), 4);
+    }
+
+    #[test]
+    fn select_stays_out_of_the_scan_when_a_bypassed_expression_can_fail() {
+        let tmin = call(
+            Function::Eq,
+            vec![
+                LogicalExpr::value_key(var(0), "t"),
+                LogicalExpr::Const(Item::str("TMIN")),
+            ],
+        );
+        // An ASSIGN the filter does not read, which can fail.
+        let failing = call(
+            Function::DateTime,
+            vec![LogicalExpr::value_key(var(0), "d")],
+        );
+        let mut plan = select_over_scan(tmin.clone(), vec![(1, failing.clone())]);
+        assert!(!PushSelectIntoDataScan.apply(&mut plan));
+        // A conjunct the tape cannot test, which can fail.
+        let arith = call(
+            Function::Gt,
+            vec![
+                call(
+                    Function::Sub,
+                    vec![var(0), LogicalExpr::Const(Item::int(1))],
+                ),
+                LogicalExpr::Const(Item::int(0)),
+            ],
+        );
+        let cond = call(Function::And, vec![tmin.clone(), arith]);
+        let mut plan = select_over_scan(cond, vec![]);
+        assert!(!PushSelectIntoDataScan.apply(&mut plan));
+        // The same failing ASSIGN, read by the filter: its failure leaves
+        // the record undecided, so the rule fires.
+        let year = call(
+            Function::Ge,
+            vec![
+                call(Function::YearFromDateTime, vec![var(1)]),
+                LogicalExpr::Const(Item::int(2003)),
+            ],
+        );
+        let mut plan = select_over_scan(year, vec![(1, failing)]);
+        assert!(PushSelectIntoDataScan.apply(&mut plan));
+        // Nothing to copy: no fire.
+        let other = call(Function::Eq, vec![var(0), var(9)]);
+        let mut plan = select_over_scan(other, vec![]);
+        assert!(!PushSelectIntoDataScan.apply(&mut plan));
+    }
+
+    #[test]
+    fn tape_grammar() {
+        let v = VarId(0);
+        let path = LogicalExpr::value_key(call(Function::Data, vec![var(0)]), "k");
+        assert!(tape_evaluable(&path, v));
+        assert!(tape_evaluable(
+            &call(Function::DateTime, vec![path.clone()]),
+            v
+        ));
+        assert!(!tape_evaluable(&path, VarId(1)));
+        // Numeric index steps, keys-or-members and arithmetic are out.
+        let index = call(
+            Function::Value,
+            vec![var(0), LogicalExpr::Const(Item::int(1))],
+        );
+        assert!(!tape_evaluable(&index, v));
+        assert!(!tape_evaluable(
+            &call(Function::KeysOrMembers, vec![var(0)]),
+            v
+        ));
+        assert!(!tape_evaluable(
+            &call(Function::Add, vec![path.clone(), path.clone()]),
+            v
+        ));
+        // dateTime only of a path; no sequence constants; no empty `and`.
+        assert!(!tape_evaluable(
+            &call(Function::DateTime, vec![LogicalExpr::Const(Item::str("x"))]),
+            v
+        ));
+        assert!(!tape_evaluable(&LogicalExpr::Const(Item::empty()), v));
+        assert!(!tape_evaluable(&call(Function::And, vec![]), v));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Ablations of design choices beyond the paper's figures (DESIGN.md
-//! calls these out): two-step aggregation and the Hyracks frame size.
+//! calls these out): two-step aggregation, the DATASCAN's tape filter
+//! and the Hyracks frame size.
 
 use crate::{ms, Harness, Table};
 use algebra::rules::RuleConfig;
@@ -49,6 +50,58 @@ pub fn two_step(h: &Harness) -> Vec<Table> {
     }
     t.note = "Local pre-aggregation shrinks exchange traffic; the win grows with group \
               cardinality and node count ('the larger the groups, the better', §4.3)."
+        .into();
+    vec![t]
+}
+
+/// The DATASCAN's tape filter (`push-select-into-datascan`) off and on,
+/// everything else as in [`RuleConfig::all`]: the filtering queries on
+/// one file split over two partitions, the shape where the scan layers
+/// and the per-record ASSIGN/SELECT work dominate.
+pub fn scan_filter(h: &Harness) -> Vec<Table> {
+    let spec = h.sensor_spec(2 * 1024 * 1024, 1, 30);
+    let root = h.dataset("ablation-scanfilter", &spec);
+    let cluster = ClusterSpec::single_node(2);
+    let on = RuleConfig::all();
+    let off = RuleConfig {
+        select_into_scan: false,
+        ..on
+    };
+    let mut t = Table::new(
+        "Ablation — DATASCAN tape filter (push-select-into-datascan), 1 node x 2 partitions",
+        &[
+            "query",
+            "filter off (ms)",
+            "filter on (ms)",
+            "speed-up",
+            "scan tuples emitted (off / on)",
+        ],
+    );
+    for (name, q) in [
+        ("Q0", vxq_core::queries::Q0),
+        ("Q0b", vxq_core::queries::Q0B),
+        ("Q1", vxq_core::queries::Q1),
+        ("Q2", vxq_core::queries::Q2),
+    ] {
+        let e_off = h.engine(&root, cluster.clone(), off);
+        let e_on = h.engine(&root, cluster.clone(), on);
+        let t_off = h.time_query(&e_off, q);
+        let t_on = h.time_query(&e_on, q);
+        let emitted = |e: &vxq_core::Engine| -> u64 {
+            let r = e.execute(q).expect("query");
+            r.stats.profile.splits.iter().map(|s| s.emitted).sum()
+        };
+        t.row(vec![
+            name.to_string(),
+            ms(t_off),
+            ms(t_on),
+            format!("{:.2}x", t_off.as_secs_f64() / t_on.as_secs_f64().max(1e-9)),
+            format!("{} / {}", emitted(&e_off), emitted(&e_on)),
+        ]);
+    }
+    t.note = "The filter skips, before they are written, the records the SELECT would drop: \
+              Q0/Q0b keep ~0.2% of their records, Q1 and each side of Q2 about a third. The \
+              SELECT stays and decides every record the filter lets through."
         .into();
     vec![t]
 }

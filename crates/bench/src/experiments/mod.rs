@@ -20,6 +20,7 @@
 //! | fig25 | vs MongoDB scale-up (Q0b, Q2) | [`compare_cluster::fig25`] |
 //! | table4 | MongoDB load times | [`compare_cluster::table4`] |
 //! | ablation-twostep | (beyond the paper) two-step aggregation | [`ablation::two_step`] |
+//! | ablation-scanfilter | (beyond the paper) DATASCAN tape filter off/on | [`ablation::scan_filter`] |
 //! | ablation-frames | (beyond the paper) frame-size sweep | [`ablation::frame_size`] |
 //! | ablation-memory | (beyond the paper) peak memory per rule config | [`ablation::memory_by_config`] |
 //! | splits-scan | (beyond the paper) intra-file split scanning | [`splits::splits`] |
@@ -62,6 +63,7 @@ pub const EXPERIMENTS: &[(&str, ExperimentFn)] = &[
     ("fig25", compare_cluster::fig25),
     ("table4", compare_cluster::table4),
     ("ablation-twostep", ablation::two_step),
+    ("ablation-scanfilter", ablation::scan_filter),
     ("ablation-frames", ablation::frame_size),
     ("ablation-memory", ablation::memory_by_config),
     ("splits-scan", splits::splits),

@@ -332,10 +332,7 @@ impl Cluster {
                             .unwrap_or_else(|e| e.into_inner())
                             .push((ctx.node, cpu));
                         if let Err(e) = r {
-                            let mut slot = err_slot.lock().unwrap_or_else(|e| e.into_inner());
-                            if slot.is_none() {
-                                *slot = Some(e);
-                            }
+                            record_error(&err_slot, e);
                         }
                     });
                 }
@@ -378,10 +375,7 @@ impl Cluster {
             }
             drop(result_rx);
             if let Some(e) = decode_err {
-                let mut slot = first_error.lock().unwrap_or_else(|e| e.into_inner());
-                if slot.is_none() {
-                    *slot = Some(e);
-                }
+                record_error(&first_error, e);
             }
             Ok::<Rows, DataflowError>(rows)
         })
@@ -434,6 +428,22 @@ impl Cluster {
             };
             Ok((rows, stats))
         })
+    }
+}
+
+/// Record a task's error in the job's slot. The first error wins, except
+/// that a severed channel gives way to any other error: a stage whose
+/// downstream failed sees only that its receiver is gone, and may get
+/// there before the failing stage records the cause.
+fn record_error(slot: &Mutex<Option<DataflowError>>, e: DataflowError) {
+    let mut slot = slot.lock().unwrap_or_else(|e| e.into_inner());
+    let replace = match &*slot {
+        None => true,
+        Some(DataflowError::Severed(_)) => !matches!(e, DataflowError::Severed(_)),
+        Some(_) => false,
+    };
+    if replace {
+        *slot = Some(e);
     }
 }
 
@@ -496,7 +506,7 @@ mod tests {
     use crate::ops::eval::{
         Aggregator, AggregatorFactory, ScanSource, ScanSourceFactory, TupleEmitter,
     };
-    use crate::ops::{AggregateOp, HashGroupByOp, HashJoinOp};
+    use crate::ops::{AggregateOp, FrameWriter, HashGroupByOp, HashJoinOp};
     use jdm::binary::{to_bytes, write_item};
 
     /// Source: each partition emits (key = i % 10, value = i) for its slice
@@ -771,6 +781,56 @@ mod tests {
         assert_eq!(rows.len(), 250);
         for row in &rows {
             assert_eq!(row[0], row[2], "join keys must match");
+        }
+    }
+
+    /// A pipe that fails on its first frame, dropping its receiver.
+    struct FailOnFirstFrame;
+    impl PipeFactory for FailOnFirstFrame {
+        fn create(&self, _ctx: &TaskContext, _out: BoxWriter) -> Result<BoxWriter> {
+            Ok(Box::new(FailOnFirstFrame))
+        }
+    }
+    impl FrameWriter for FailOnFirstFrame {
+        fn open(&mut self) -> Result<()> {
+            Ok(())
+        }
+        fn next_frame(&mut self, _frame: &Frame) -> Result<()> {
+            Err(DataflowError::Eval("first frame rejected".into()))
+        }
+        fn close(&mut self) -> Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The upstream scan keeps sending after its consumer failed, so it
+    /// fails too, on the severed channel, and may record that first. The
+    /// job must still report the consumer's error, on every run.
+    #[test]
+    fn a_severed_channel_never_masks_the_error_that_severed_it() {
+        let cluster = Cluster::new(ClusterSpec {
+            frame_size: 256,
+            ..ClusterSpec::single_node(1)
+        });
+        let mut job = JobSpec::new();
+        // 256-byte frames hold a dozen (key, value) tuples: 5,000 tuples
+        // are hundreds of frames, far more than the 64 a channel buffers.
+        let s = job.add(scan_stage(5_000));
+        job.add(Stage {
+            kind: StageKind::Pipe {
+                input: StageInput {
+                    from: s,
+                    connector: Connector::OneToOne,
+                },
+                chain: Arc::new(FailOnFirstFrame),
+            },
+            parallelism: Parallelism::Full,
+        });
+        for run in 0..200 {
+            match cluster.run(&job) {
+                Err(DataflowError::Eval(m)) => assert_eq!(m, "first frame rejected"),
+                other => panic!("run {run}: {:?}", other.map(|(rows, _)| rows.len())),
+            }
         }
     }
 

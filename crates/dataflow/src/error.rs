@@ -23,8 +23,13 @@ pub enum DataflowError {
     SourceChanged { path: std::path::PathBuf },
     /// Job-graph validation failed (unknown stage, cycle, arity mismatch).
     BadJob(String),
-    /// A worker thread panicked or a channel was severed unexpectedly.
+    /// A worker thread panicked or a sender was used after its close.
     Worker(String),
+    /// The stage downstream of a channel stopped receiving: its receiver
+    /// is gone. That stage stops only when it failed, so this is a
+    /// symptom of another error; the cluster reports it only when no
+    /// task recorded anything else.
+    Severed(String),
     /// The job exceeded its configured memory budget (used by baselines
     /// simulating memory-limited systems).
     OutOfMemory { requested: usize, budget: usize },
@@ -52,6 +57,7 @@ impl fmt::Display for DataflowError {
             }
             DataflowError::BadJob(m) => write!(f, "invalid job: {m}"),
             DataflowError::Worker(m) => write!(f, "worker failure: {m}"),
+            DataflowError::Severed(m) => write!(f, "channel severed: {m}"),
             DataflowError::OutOfMemory { requested, budget } => {
                 write!(
                     f,

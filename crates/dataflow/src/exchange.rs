@@ -53,7 +53,7 @@ fn send(ctx: &TaskContext, tx: &Sender<Frame>, dst: usize, frame: Frame) -> Resu
     ctx.check_cancelled()?;
     account(ctx, dst, &frame);
     tx.send(frame)
-        .map_err(|_| DataflowError::Worker("exchange receiver dropped".into()))
+        .map_err(|_| DataflowError::Severed("exchange receiver dropped".into()))
 }
 
 /// Forward frames to the same partition of the next stage.

@@ -37,16 +37,16 @@ pub trait UnnestEvaluatorFactory: Send + Sync {
 }
 
 /// Incremental aggregation state (one instance per group).
+///
+/// Aggregators report no memory: [`crate::ops::HashGroupByOp`] charges
+/// each group a fixed estimate plus its key bytes, and the pre-rewrite
+/// plans' per-group sequences are charged by
+/// [`crate::ops::MaterializingGroupByOp`], which buffers them as tuples.
 pub trait Aggregator: Send {
     /// Fold one tuple into the state.
     fn step(&mut self, tuple: &TupleRef<'_>) -> Result<()>;
     /// Append the serialized result item to `out`.
     fn finish(&mut self, out: &mut Vec<u8>) -> Result<()>;
-    /// Bytes of state held (sequence-building aggregators report their
-    /// buffered data so the memory tracker sees pre-rewrite plans' cost).
-    fn state_size(&self) -> usize {
-        0
-    }
 }
 
 /// Creates [`Aggregator`]s; one per group for grouped aggregation.

@@ -29,7 +29,7 @@ impl FrameWriter for CollectorWriter {
     fn next_frame(&mut self, frame: &Frame) -> Result<()> {
         if let Some(tx) = &self.tx {
             tx.send(frame.clone())
-                .map_err(|_| DataflowError::Worker("result collector disconnected".into()))?;
+                .map_err(|_| DataflowError::Severed("result collector disconnected".into()))?;
         }
         Ok(())
     }

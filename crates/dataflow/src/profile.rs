@@ -204,8 +204,12 @@ pub struct SplitProfile {
     pub of: usize,
     /// Records (top-level collection members) this split covered.
     pub records: u64,
-    /// Tuples the split emitted into the pipeline.
+    /// Items the split projected: each one tested by the scan's filter,
+    /// when it has one.
     pub tuples: u64,
+    /// Tuples the split emitted into the pipeline: `tuples` less the
+    /// items the scan's filter rejected.
+    pub emitted: u64,
     /// Bytes of the file this split was responsible for.
     pub bytes: u64,
     /// Wall time spent scanning the split.

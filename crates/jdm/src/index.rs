@@ -350,6 +350,22 @@ impl StructuralIndex {
         Ok(parse_string_at(buf, e.start as usize)?.0 == wanted)
     }
 
+    /// Tape index of the value of the first `key` member of the object at
+    /// `obj` (the first occurrence wins, like every other key lookup of
+    /// the engine); `None` when the key is absent or `obj` is not an
+    /// object open. Escaped keys compare by their decoded text.
+    pub fn find_key(&self, buf: &[u8], obj: usize, key: &str) -> Result<Option<usize>> {
+        if self.tape[obj].kind != TapeKind::ObjectOpen {
+            return Ok(None);
+        }
+        for k in self.keys_iter(obj) {
+            if self.key_equals(buf, k, key)? {
+                return Ok(Some(k + 1));
+            }
+        }
+        Ok(None)
+    }
+
     /// The number value at a [`TapeKind::Number`] entry.
     pub fn number_at(&self, buf: &[u8], node: usize) -> Result<Number> {
         Ok(number_at(buf, self.tape[node].start as usize)?.0)
@@ -879,6 +895,52 @@ mod tests {
         let obj = idx(r#"{"a": 1}"#);
         assert_eq!(obj.members_iter(0).count(), 0);
         assert_eq!(t.members_iter(1).count(), 0); // the object member
+    }
+
+    #[test]
+    fn find_key_takes_the_first_occurrence() {
+        let src = r#"{"a": 1, "b": {"a": 9}, "a": 2}"#;
+        let t = idx(src);
+        let buf = src.as_bytes();
+        let a = t.find_key(buf, t.root(), "a").unwrap().expect("present");
+        assert_eq!(t.item_at(buf, a).unwrap(), Item::int(1));
+        let b = t.find_key(buf, t.root(), "b").unwrap().expect("present");
+        let inner = t.find_key(buf, b, "a").unwrap().expect("nested");
+        assert_eq!(t.item_at(buf, inner).unwrap(), Item::int(9));
+        assert_eq!(t.find_key(buf, t.root(), "zz").unwrap(), None);
+        assert_eq!(t.find_key(buf, t.root(), "").unwrap(), None);
+    }
+
+    #[test]
+    fn find_key_decodes_escaped_keys() {
+        // `d\u0061te` is the key "date"; the raw bytes differ.
+        let src = r#"{"x": 0, "d\u0061te": "20131225T00:00", "date": "later", "t\"q": 5}"#;
+        let t = idx(src);
+        let buf = src.as_bytes();
+        let d = t
+            .find_key(buf, t.root(), "date")
+            .unwrap()
+            .expect("escaped key");
+        assert_eq!(t.item_at(buf, d).unwrap(), Item::str("20131225T00:00"));
+        let q = t
+            .find_key(buf, t.root(), "t\"q")
+            .unwrap()
+            .expect("quote key");
+        assert_eq!(t.item_at(buf, q).unwrap(), Item::int(5));
+        assert_eq!(t.find_key(buf, t.root(), "d\\u0061te").unwrap(), None);
+    }
+
+    #[test]
+    fn find_key_on_non_objects_is_none() {
+        let src = r#"[{"a": 1}, "a", 3, null, true, [], {}]"#;
+        let t = idx(src);
+        let buf = src.as_bytes();
+        assert_eq!(t.find_key(buf, t.root(), "a").unwrap(), None);
+        let members = t.members(t.root());
+        assert!(t.find_key(buf, members[0], "a").unwrap().is_some());
+        for &m in &members[1..] {
+            assert_eq!(t.find_key(buf, m, "a").unwrap(), None, "member {m}");
+        }
     }
 
     #[test]

@@ -35,7 +35,9 @@ use std::ops::Range;
 pub struct ProjectStats {
     /// Items handed to the callback.
     pub emitted: usize,
-    /// Values skipped without materialization (per navigation level).
+    /// Navigation steps that led nowhere — a missing key or position, or
+    /// a value of the wrong type — each ending its branch after one tape
+    /// lookup, with nothing materialized.
     pub skipped: usize,
 }
 
@@ -91,70 +93,40 @@ fn walk_tape(
         stats.emitted += 1;
         return sink(node);
     };
-    let e = &idx.tape()[node];
-    match first {
-        PathStep::Key(wanted) => {
-            if e.kind != TapeKind::ObjectOpen {
-                // `value` on a non-object yields the empty sequence: skip.
-                stats.skipped += 1;
-                return Ok(true);
-            }
-            let close = e.pair as usize;
-            let mut matched = false;
-            let mut i = node + 1;
-            while i < close {
-                let value = i + 1; // the key's value entry follows it
-                if !matched && idx.key_equals(buf, i, wanted)? {
-                    matched = true; // first occurrence wins
-                    if !walk_tape(buf, idx, value, rest, sink, stats)? {
-                        return Ok(false);
-                    }
-                } else {
-                    stats.skipped += 1;
-                }
-                i = idx.skip(value);
-            }
-            Ok(true)
-        }
-        PathStep::Index(wanted) => {
-            if e.kind != TapeKind::ArrayOpen {
-                stats.skipped += 1;
-                return Ok(true);
-            }
-            let close = e.pair as usize;
-            let mut pos: i64 = 0;
-            let mut i = node + 1;
-            while i < close {
-                pos += 1;
-                if pos == *wanted {
-                    if !walk_tape(buf, idx, i, rest, sink, stats)? {
-                        return Ok(false);
-                    }
-                } else {
-                    stats.skipped += 1;
-                }
-                i = idx.skip(i);
-            }
-            Ok(true)
-        }
+    let next = match first {
+        PathStep::Key(wanted) => idx.find_key(buf, node, wanted)?,
+        PathStep::Index(wanted) => nth_member(idx, node, *wanted),
         PathStep::AllMembers => {
-            if e.kind != TapeKind::ArrayOpen {
-                // keys-or-members pushed down only over arrays; objects or
-                // atomics contribute nothing here.
+            // keys-or-members pushed down only over arrays; objects or
+            // atomics contribute nothing here.
+            if idx.tape()[node].kind != TapeKind::ArrayOpen {
                 stats.skipped += 1;
                 return Ok(true);
             }
-            let close = e.pair as usize;
-            let mut i = node + 1;
-            while i < close {
-                if !walk_tape(buf, idx, i, rest, sink, stats)? {
+            for m in idx.members_iter(node) {
+                if !walk_tape(buf, idx, m, rest, sink, stats)? {
                     return Ok(false);
                 }
-                i = idx.skip(i);
             }
+            return Ok(true);
+        }
+    };
+    match next {
+        Some(value) => walk_tape(buf, idx, value, rest, sink, stats),
+        // `value` on a missing key or position, or on the wrong type,
+        // yields the empty sequence: this branch ends here.
+        None => {
+            stats.skipped += 1;
             Ok(true)
         }
     }
+}
+
+/// Tape index of the `pos`-th (1-based) member of the array at `node`;
+/// `None` when out of range or `node` is not an array.
+fn nth_member(idx: &StructuralIndex, node: usize, pos: i64) -> Option<usize> {
+    let skip = usize::try_from(pos).ok()?.checked_sub(1)?;
+    idx.members_iter(node).nth(skip)
 }
 
 /// One record of a splittable document: a member of the array reached by
@@ -203,49 +175,14 @@ impl RecordTable {
         };
         let mut node = index.root();
         for step in &steps[..k] {
-            let e = &index.tape()[node];
-            match step {
-                PathStep::Key(wanted) => {
-                    if e.kind != TapeKind::ObjectOpen {
-                        return Ok(Some(empty));
-                    }
-                    let close = e.pair as usize;
-                    let mut i = node + 1;
-                    let mut found = None;
-                    while i < close {
-                        if index.key_equals(buf, i, wanted)? {
-                            found = Some(i + 1); // first occurrence wins
-                            break;
-                        }
-                        i = index.skip(i + 1);
-                    }
-                    match found {
-                        Some(v) => node = v,
-                        None => return Ok(Some(empty)),
-                    }
-                }
-                PathStep::Index(wanted) => {
-                    if e.kind != TapeKind::ArrayOpen {
-                        return Ok(Some(empty));
-                    }
-                    let close = e.pair as usize;
-                    let mut pos: i64 = 0;
-                    let mut i = node + 1;
-                    let mut found = None;
-                    while i < close {
-                        pos += 1;
-                        if pos == *wanted {
-                            found = Some(i);
-                            break;
-                        }
-                        i = index.skip(i);
-                    }
-                    match found {
-                        Some(v) => node = v,
-                        None => return Ok(Some(empty)),
-                    }
-                }
+            let next = match step {
+                PathStep::Key(wanted) => index.find_key(buf, node, wanted)?,
+                PathStep::Index(wanted) => nth_member(index, node, *wanted),
                 PathStep::AllMembers => unreachable!("k is the first AllMembers"),
+            };
+            match next {
+                Some(v) => node = v,
+                None => return Ok(Some(empty)),
             }
         }
         if index.tape()[node].kind != TapeKind::ArrayOpen {
@@ -370,8 +307,12 @@ mod tests {
         let idx = StructuralIndex::build(SENSOR.as_bytes()).unwrap();
         let stats = project_indexed(SENSOR.as_bytes(), &idx, &p, |_| true).unwrap();
         assert_eq!(stats.emitted, 3);
-        // Two "metadata" values skipped.
-        assert_eq!(stats.skipped, 2);
+        // The key lookup jumps over "metadata" to "results": no dead ends.
+        assert_eq!(stats.skipped, 0);
+        // A key missing from both records ends two branches.
+        let p = path(&["root", "()", "nope"]);
+        let stats = project_indexed(SENSOR.as_bytes(), &idx, &p, |_| true).unwrap();
+        assert_eq!((stats.emitted, stats.skipped), (0, 2));
     }
 
     #[test]

@@ -116,11 +116,6 @@ impl Fold {
             Sequence => Item::Sequence(std::mem::take(&mut self.items)),
         }
     }
-
-    /// Heap bytes of the items `sequence` buffers.
-    pub fn state_size(&self) -> usize {
-        self.items.iter().map(Item::heap_size).sum()
-    }
 }
 
 /// Factory producing one aggregator per group / partition.
@@ -155,10 +150,6 @@ impl Aggregator for FoldAgg {
     fn finish(&mut self, out: &mut Vec<u8>) -> dataflow::Result<()> {
         write_item(&self.fold.finish(), out);
         Ok(())
-    }
-
-    fn state_size(&self) -> usize {
-        self.fold.state_size()
     }
 }
 

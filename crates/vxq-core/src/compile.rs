@@ -13,6 +13,7 @@
 //! | logical shape | physical realization |
 //! |---|---|
 //! | `DATASCAN(project)` | partitioned projecting file scan |
+//! | `DATASCAN(project, filter)` | the same scan, skipping records the [`TapeFilter`] rejects |
 //! | `ASSIGN collection` (naive) | single-partition whole-collection scan |
 //! | `GROUP-BY + AGGREGATE sequence` | hash exchange + materializing group-by |
 //! | `GROUP-BY + incremental agg` | [local group-by +] hash exchange + group-by |
@@ -27,6 +28,7 @@ use crate::scan::{
     resolve_collection, EmptyTupleSourceFactory, ProjectedScanFactory, ScanOptions,
     WholeCollectionScanFactory,
 };
+use crate::tapefilter::TapeFilter;
 use algebra::expr::{AggFunc, Function, LogicalExpr};
 use algebra::plan::{LogicalOp, LogicalPlan, VarGen, VarId};
 use dataflow::job::{
@@ -491,6 +493,7 @@ impl<'a> Compiler<'a> {
             LogicalOp::DataScan {
                 source,
                 project,
+                filter,
                 var,
                 input,
             } => {
@@ -504,6 +507,7 @@ impl<'a> Compiler<'a> {
                     input: PipeInput::Source(Arc::new(ProjectedScanFactory::new(
                         &dir,
                         project.clone(),
+                        filter.as_ref().and_then(|f| TapeFilter::compile(f, *var)),
                         &self.opts.cluster,
                         &self.opts.scan,
                         self.opts.pool.clone(),

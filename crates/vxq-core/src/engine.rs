@@ -398,13 +398,14 @@ pub fn render_analysis(result: &QueryResult) -> String {
         out.push_str("\n== scan splits ==\n");
         let _ = writeln!(
             out,
-            "{:<5} {:<4} {:<40} {:>7} {:>10} {:>10} {:>12} {:>12} {:>10} {:>9} {:>6}",
+            "{:<5} {:<4} {:<40} {:>7} {:>10} {:>10} {:>10} {:>12} {:>12} {:>10} {:>9} {:>6}",
             "stage",
             "part",
             "file",
             "split",
             "records",
             "tuples",
+            "emitted",
             "bytes",
             "busy_us",
             "idx_us",
@@ -429,7 +430,7 @@ pub fn render_analysis(result: &QueryResult) -> String {
             };
             let _ = writeln!(
                 out,
-                "{:<5} {:<4} {:<40} {:>3}/{:<3} {:>10} {:>10} {:>12} {:>12.1} {:>10.1} {:>9} {:>6}",
+                "{:<5} {:<4} {:<40} {:>3}/{:<3} {:>10} {:>10} {:>10} {:>12} {:>12.1} {:>10.1} {:>9} {:>6}",
                 s.stage,
                 s.partition,
                 file,
@@ -437,6 +438,7 @@ pub fn render_analysis(result: &QueryResult) -> String {
                 s.of,
                 s.records,
                 s.tuples,
+                s.emitted,
                 s.bytes,
                 s.elapsed.as_secs_f64() * 1e6,
                 s.index_elapsed.as_secs_f64() * 1e6,

@@ -18,6 +18,9 @@
 //! * [`scan`] — DATASCAN runtimes: the projecting partitioned file scan
 //!   (post-pipelining-rules) and the naive whole-collection /
 //!   single-document scans (pre-rules).
+//! * [`tapefilter`] — the DATASCAN's reject-only filter: the SELECT's
+//!   condition, copied into the scan by `push-select-into-datascan`,
+//!   tested on the structural-index tape before a record is written.
 //! * [`compile`] — physical planning: stage splitting, exchange insertion,
 //!   two-step aggregation, join key extraction; logical plan → [`dataflow::JobSpec`].
 //! * [`engine`] — the public API: [`Engine`] executes queries on a
@@ -50,6 +53,7 @@ pub mod queries;
 pub mod rtexpr;
 pub mod scan;
 pub mod service;
+pub mod tapefilter;
 
 pub use engine::{
     parse_memory_budget, render_analysis, Engine, EngineConfig, ExecOptions, PreparedQuery,

@@ -488,7 +488,7 @@ fn compare(f: Function, lhs: &Item, rhs: &Item) -> bool {
 }
 
 /// An item as a comparison operand; `None` for sequences.
-fn item_atom(item: &Item) -> Option<Atom<'_>> {
+pub(crate) fn item_atom(item: &Item) -> Option<Atom<'_>> {
     Some(match item {
         Item::Null => Atom::Null,
         Item::Boolean(b) => Atom::Bool(*b),
@@ -500,9 +500,10 @@ fn item_atom(item: &Item) -> Option<Atom<'_>> {
     })
 }
 
-/// A comparison operand, borrowed from an item or a view.
+/// A comparison operand, borrowed from an item, a view or (in the
+/// DATASCAN's tape filter) the raw record.
 #[derive(Debug, Clone, Copy)]
-enum Atom<'a> {
+pub(crate) enum Atom<'a> {
     Null,
     Bool(bool),
     Number(Number),
@@ -512,7 +513,21 @@ enum Atom<'a> {
     Other,
 }
 
-fn compare_atoms(f: Function, lhs: Atom<'_>, rhs: Atom<'_>) -> bool {
+impl Atom<'_> {
+    /// Effective boolean value, as [`Val`]'s `ebv` reads it from the tag:
+    /// booleans are themselves, `null` is false, everything else true.
+    pub(crate) fn ebv(self) -> bool {
+        match self {
+            Atom::Bool(b) => b,
+            Atom::Null => false,
+            _ => true,
+        }
+    }
+}
+
+/// Value comparison of two atoms: the one comparison core of
+/// [`RtExpr::eval_ref`], [`apply`] and the DATASCAN's tape filter.
+pub(crate) fn compare_atoms(f: Function, lhs: Atom<'_>, rhs: Atom<'_>) -> bool {
     let ord = match (lhs, rhs) {
         (Atom::Number(a), Atom::Number(b)) => a.num_cmp(b),
         (Atom::String(a), Atom::String(b)) => a.cmp(b),
@@ -556,7 +571,8 @@ fn arith(f: Function, lhs: &Item, rhs: &Item) -> Result<Item> {
     Ok(Item::Number(out))
 }
 
-fn date_part(f: Function, d: DateTime) -> i64 {
+/// The year, month or day of `d` for the accessor `f`.
+pub(crate) fn date_part(f: Function, d: DateTime) -> i64 {
     match f {
         Function::YearFromDateTime => d.year as i64,
         Function::MonthFromDateTime => d.month as i64,

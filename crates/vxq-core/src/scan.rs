@@ -8,7 +8,9 @@
 //!   projector ([`jdm::project`]), one tuple per item. Each item is
 //!   written in the binary format directly from the index tape
 //!   ([`StructuralIndex::write_binary_at`]); no `Item` tree is built.
-//!   Partitioned-parallel, bounded memory.
+//!   When the DATASCAN has a filter, a record its [`TapeFilter`] rejects
+//!   is skipped before it is written. Partitioned-parallel, bounded
+//!   memory.
 //! * [`WholeCollectionScanFactory`] — the naive `ASSIGN collection(...)`:
 //!   a *single* partition parses every file completely and emits **one
 //!   tuple holding the sequence of all file items** (what the paper's
@@ -52,6 +54,7 @@
 //! engine's [`ScanBufferPool`] as soon as the file's last split finishes.
 
 use crate::pool::ScanBufferPool;
+use crate::tapefilter::TapeFilter;
 use dataflow::context::TaskContext;
 use dataflow::ops::eval::{ScanSource, ScanSourceFactory, TupleEmitter};
 use dataflow::profile::SplitProfile;
@@ -392,16 +395,19 @@ fn assign_splits(
 pub struct ProjectedScanFactory {
     plan: Arc<ScanPlan>,
     project: ProjectionPath,
+    filter: Option<Arc<TapeFilter>>,
     stage1: Stage1Mode,
     pool: Arc<ScanBufferPool>,
 }
 
 impl ProjectedScanFactory {
     /// Plan the scan of the collection at `dir` for `cluster`: the one
-    /// listing of this DATASCAN for this execution.
+    /// listing of this DATASCAN for this execution. Records `filter`
+    /// rejects are skipped before they are written (JSON text only).
     pub fn new(
         dir: &Path,
         project: ProjectionPath,
+        filter: Option<TapeFilter>,
         cluster: &ClusterSpec,
         options: &ScanOptions,
         pool: Arc<ScanBufferPool>,
@@ -414,6 +420,7 @@ impl ProjectedScanFactory {
         Ok(ProjectedScanFactory {
             plan: Arc::new(ScanPlan::new(dir, cluster, options, splittable)?),
             project,
+            filter: filter.map(Arc::new),
             stage1: options.stage1,
             pool,
         })
@@ -432,6 +439,7 @@ impl ScanSourceFactory for ProjectedScanFactory {
         Ok(Box::new(ProjectedScan {
             plan: self.plan.clone(),
             project: self.project.clone(),
+            filter: self.filter.clone(),
             ctx: ctx.clone(),
             pool: self.pool.clone(),
             stage1: self.stage1,
@@ -442,6 +450,7 @@ impl ScanSourceFactory for ProjectedScanFactory {
 struct ProjectedScan {
     plan: Arc<ScanPlan>,
     project: ProjectionPath,
+    filter: Option<Arc<TapeFilter>>,
     ctx: TaskContext,
     pool: Arc<ScanBufferPool>,
     stage1: Stage1Mode,
@@ -455,16 +464,17 @@ impl ScanSource for ProjectedScan {
             let file = &self.plan.files[split.file];
             let lease = file.lease(&self.ctx, &self.pool, &self.project, self.stage1)?;
             let loaded = &lease.loaded;
-            let mut tuples = 0u64;
+            let mut emitted = 0u64;
             let mut err = None;
-            let (records, bytes) = loaded.project(
+            let (records, tuples, bytes) = loaded.project(
                 file,
                 split,
                 &self.project,
+                self.filter.as_deref(),
                 &mut item_bytes,
                 &mut |item| match emit(&[item]) {
                     Ok(()) => {
-                        tuples += 1;
+                        emitted += 1;
                         true
                     }
                     Err(e) => {
@@ -492,6 +502,7 @@ impl ScanSource for ProjectedScan {
                 of: split.of,
                 records,
                 tuples,
+                emitted,
                 bytes,
                 elapsed: started.elapsed(),
                 index_bytes,
@@ -536,17 +547,20 @@ impl Drop for LoadedFile {
 }
 
 impl LoadedFile {
-    /// Project `split` through `project`, handing each matched item's
-    /// binary bytes to `sink` until it returns false. Returns the records
-    /// the split covered and the bytes of the file it was responsible for.
+    /// Project `split` through `project`, handing the binary bytes of
+    /// each matched item that `filter` does not reject to `sink` until it
+    /// returns false. Returns the records the split covered, the items it
+    /// projected (and tested) and the bytes of the file it was
+    /// responsible for. Binary `.adm` items are not filtered.
     fn project(
         &self,
         file: &PlannedFile,
         split: &ScanSplit,
         project: &ProjectionPath,
+        filter: Option<&TapeFilter>,
         out: &mut Vec<u8>,
         sink: &mut dyn FnMut(&[u8]) -> bool,
-    ) -> Result<(u64, u64)> {
+    ) -> Result<(u64, u64, u64)> {
         let src_err =
             |e: jdm::JdmError| DataflowError::Source(format!("{}: {e}", file.path.display()));
         let (buf, whole) = (&self.bytes[..], self.bytes.len() as u64);
@@ -557,17 +571,20 @@ impl LoadedFile {
                 matched += 1;
                 sink(item)
             });
-            return Ok((matched, whole));
+            return Ok((matched, matched, whole));
         };
         let emit = |node: usize| -> jdm::Result<bool> {
+            matched += 1;
+            if filter.is_some_and(|f| f.test(index, buf, node) == Some(false)) {
+                return Ok(true);
+            }
             out.clear();
             index.write_binary_at(buf, node, out)?;
-            matched += 1;
             Ok(sink(out))
         };
         let Some(table) = table else {
             project_indexed_nodes(buf, index, project, emit).map_err(src_err)?;
-            return Ok((matched, whole));
+            return Ok((matched, matched, whole));
         };
         let n = table.len();
         let (lo, hi) = (n * split.split / split.of, n * (split.split + 1) / split.of);
@@ -579,7 +596,7 @@ impl LoadedFile {
             _ if hi > lo => (table.records[hi - 1].end - table.records[lo].start) as u64,
             _ => 0,
         };
-        Ok(((hi - lo) as u64, bytes))
+        Ok(((hi - lo) as u64, matched, bytes))
     }
 }
 

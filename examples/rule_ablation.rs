@@ -33,14 +33,15 @@ fn main() {
     .generate(&data_root.join("sensors"))
     .expect("generate");
 
-    let configs: [(&str, RuleConfig); 4] = [
+    let configs: [(&str, RuleConfig); 5] = [
         ("no rules (naive translation)", RuleConfig::none()),
         ("+ path expression rules (§4.1)", RuleConfig::path_only()),
         (
             "+ pipelining rules (§4.2)",
             RuleConfig::path_and_pipelining(),
         ),
-        ("+ group-by rules (§4.3)", RuleConfig::all()),
+        ("+ group-by rules (§4.3)", RuleConfig::paper()),
+        ("+ scan filter (beyond the paper)", RuleConfig::all()),
     ];
 
     println!("Query Q1:\n{}\n", queries::Q1.trim());

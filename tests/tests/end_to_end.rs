@@ -84,10 +84,13 @@ fn sorted_rows(mut rows: Vec<Vec<Item>>) -> Vec<Vec<Item>> {
 }
 
 type ConfigFn = fn() -> RuleConfig;
-const CONFIGS: [(&str, ConfigFn); 4] = [
+/// `paper` and `all` differ only in the DATASCAN's tape filter, so each
+/// query runs with the filter off and on.
+const CONFIGS: [(&str, ConfigFn); 5] = [
     ("none", RuleConfig::none),
     ("path", RuleConfig::path_only),
     ("path+pipe", RuleConfig::path_and_pipelining),
+    ("paper", RuleConfig::paper),
     ("all", RuleConfig::all),
 ];
 

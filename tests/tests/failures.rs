@@ -395,3 +395,67 @@ fn aggregate_errors_and_rows_agree_across_rule_configs() {
         }
     }
 }
+
+/// A record the DATASCAN's tape filter cannot decide (a date `dateTime`
+/// rejects) flows on to the ASSIGN above the scan, so the query fails
+/// with the same error whether the scan filters or not, at every cluster
+/// shape; the other records, which the filter rejects, change nothing.
+#[test]
+fn a_bad_date_fails_the_same_with_and_without_the_scan_filter() {
+    use algebra::rules::{RuleConfig, RuleSet};
+    const RULE: &str = "push-select-into-datascan";
+    let root = scratch("scan-filter-bad-date");
+    for node in 0..2 {
+        let dir = root.join(format!("sensors/node{node}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let records: Vec<String> = (0..8)
+            .map(|i| {
+                let date = if node == 1 && i == 5 {
+                    "garbage".to_string()
+                } else {
+                    format!("2013{:02}{:02}T00:00", 1 + i, 20 + i)
+                };
+                format!(r#"{{"date": "{date}", "dataType": "TMIN", "value": {i}}}"#)
+            })
+            .collect();
+        let doc = format!(r#"{{"root": [{{"results": [{}]}}]}}"#, records.join(", "));
+        std::fs::write(dir.join("part.json"), doc).unwrap();
+    }
+    let run = |rules: RuleSet, nodes, partitions_per_node, query| {
+        Engine::with_rule_set(
+            EngineConfig {
+                cluster: ClusterSpec {
+                    nodes,
+                    partitions_per_node,
+                    ..Default::default()
+                },
+                data_root: root.clone(),
+                ..Default::default()
+            },
+            rules,
+        )
+        .execute(query)
+        .map(|r| r.rows.len())
+        .map_err(|e| e.to_string())
+    };
+    let ppn = integration_tests::partitions_from_env(2);
+    for query in [queries::Q0, queries::Q0B] {
+        for (nodes, ppn) in [(1, 1), (1, 2), (2, 2), (2, ppn)] {
+            let with = run(RuleSet::for_config(RuleConfig::all()), nodes, ppn, query);
+            let without = run(
+                RuleSet::for_config(RuleConfig::all()).without(RULE),
+                nodes,
+                ppn,
+                query,
+            );
+            let err = with.clone().expect_err("the bad date fails the query");
+            assert!(err.contains("garbage"), "{err}");
+            assert_eq!(with, without, "{nodes}x{ppn}: {query}");
+        }
+        // The comparison is not vacuous: the filter is in the plan.
+        let e = engine_at(root.clone());
+        let (plan, applied) = e.optimize(query).expect("optimizes");
+        assert!(applied.contains(&RULE), "{applied:?}");
+        assert!(plan.explain().contains(" filter "), "{}", plan.explain());
+    }
+}

@@ -217,14 +217,123 @@ fn optimizer_reports_applied_rules() {
 
 #[test]
 fn optimization_is_idempotent() {
-    let mut plan = jsoniq::compile(Q2).unwrap();
-    let rules = RuleSet::for_config(RuleConfig::all());
-    rules.optimize(&mut plan);
-    let first = plan.explain();
-    let applied_again = rules.optimize(&mut plan);
-    assert!(
-        applied_again.is_empty(),
-        "second pass applied: {applied_again:?}"
+    for query in [Q0, Q0B, Q1, Q1B, Q2] {
+        for config in [RuleConfig::all(), RuleConfig::paper(), RuleConfig::none()] {
+            let mut plan = jsoniq::compile(query).unwrap();
+            let rules = RuleSet::for_config(config);
+            rules.optimize(&mut plan);
+            let first = plan.explain();
+            let applied_again = rules.optimize(&mut plan);
+            assert!(
+                applied_again.is_empty(),
+                "second pass applied: {applied_again:?}\n{first}"
+            );
+            assert_eq!(plan.explain(), first);
+        }
+    }
+}
+
+/// The `data-scan` lines of a plan's EXPLAIN text, trimmed.
+fn scan_lines(plan: &LogicalPlan) -> Vec<String> {
+    plan.explain()
+        .lines()
+        .map(str::trim)
+        .filter(|l| l.starts_with("data-scan"))
+        .map(String::from)
+        .collect()
+}
+
+/// `push-select-into-datascan` copies each SELECT above a DATASCAN into
+/// the scan, with the ASSIGNs it reads inlined; the SELECT and ASSIGN
+/// stay, so the operator shapes are unchanged.
+#[test]
+fn the_scan_filter_copies_the_select_into_each_datascan() {
+    let date = |v: &str| format!(r#"dateTime(value(${v}, "date"))"#);
+    let q0 = optimized(Q0, RuleConfig::all());
+    let v = "7";
+    assert_eq!(
+        scan_lines(&q0),
+        vec![format!(
+            r#"data-scan ${v} <- collection("/sensors") project ("root")()("results")() filter and(ge(year-from-dateTime({d}), 2003), eq(month-from-dateTime({d}), 12), eq(day-from-dateTime({d}), 25))"#,
+            d = date(v)
+        )],
+        "{}",
+        q0.explain()
     );
-    assert_eq!(plan.explain(), first);
+    assert_eq!(
+        q0.shape(),
+        optimized(Q0, RuleConfig::paper()).shape(),
+        "the SELECT and ASSIGN stay"
+    );
+
+    let q0b = optimized(Q0B, RuleConfig::all());
+    let [line] = scan_lines(&q0b).try_into().expect("one scan");
+    assert!(
+        line.contains(
+            r#"project ("root")()("results")()("date") filter and(ge(year-from-dateTime(dateTime($"#
+        ),
+        "{line}"
+    );
+
+    for query in [Q1, Q1B] {
+        let plan = optimized(query, RuleConfig::all());
+        let [line] = scan_lines(&plan).try_into().expect("one scan");
+        assert!(
+            line.ends_with(r#", "dataType"), "TMIN")"#) && line.contains(" filter eq(value($"),
+            "{line}"
+        );
+        let t = plan.explain();
+        assert!(t.contains(r#"select eq(value($"#), "{t}");
+    }
+
+    let q2 = optimized(Q2, RuleConfig::all());
+    let lines = scan_lines(&q2);
+    assert_eq!(lines.len(), 2, "{}", q2.explain());
+    assert!(lines[0].ends_with(r#", "dataType"), "TMIN")"#), "{lines:?}");
+    assert!(lines[1].ends_with(r#", "dataType"), "TMAX")"#), "{lines:?}");
+    assert_eq!(q2.explain().matches("select ").count(), 2);
+
+    // The paper's configuration has no scan filter.
+    for query in [Q0, Q0B, Q1, Q2] {
+        let plan = optimized(query, RuleConfig::paper());
+        assert!(!plan.explain().contains(" filter "), "{}", plan.explain());
+    }
+}
+
+/// The filter may only drop records the SELECT drops without error, so
+/// the rule stays off when an operator it would bypass can fail.
+#[test]
+fn the_scan_filter_never_bypasses_a_failing_expression() {
+    let records = r#"collection("/sensors")("root")()("results")()"#;
+    // A `let` the filter does not read, and that can fail.
+    let failing_let = format!(
+        r#"for $r in {records} let $d := dateTime($r("date"))
+           where $r("dataType") eq "TMIN" return $d"#
+    );
+    // A conjunct the tape cannot test, and that can fail.
+    let failing_conjunct = format!(
+        r#"for $r in {records}
+           where $r("dataType") eq "TMIN" and $r("value") - 1 gt 0 return $r"#
+    );
+    for query in [&failing_let, &failing_conjunct] {
+        let plan = optimized(query, RuleConfig::all());
+        assert!(
+            !plan.explain().contains(" filter "),
+            "{query}\n{}",
+            plan.explain()
+        );
+    }
+    // A conjunct the tape cannot test but that cannot fail is left to
+    // the SELECT; the rest goes to the scan.
+    let index_step = format!(
+        r#"for $r in {records}
+           where $r("dataType") eq "TMIN" and $r(1) eq 2 return $r"#
+    );
+    let plan = optimized(&index_step, RuleConfig::all());
+    let [line] = scan_lines(&plan).try_into().expect("one scan");
+    assert!(
+        line.ends_with(r#" filter eq(value($7, "dataType"), "TMIN")"#),
+        "{}",
+        plan.explain()
+    );
 }

@@ -133,11 +133,11 @@ fn split_tuple_counts_are_conserved_into_the_operator_profile() {
     let e = engine(1, 4, splits_on());
     let (r, _trace) = e.execute_profiled(queries::Q1).expect("Q1 runs");
     let profile = &r.stats.profile;
-    let from_splits: u64 = profile.splits.iter().map(|s| s.tuples).sum();
-    assert!(from_splits > 0, "splits must report scanned tuples");
+    let from_splits: u64 = profile.splits.iter().map(|s| s.emitted).sum();
+    assert!(from_splits > 0, "splits must report emitted tuples");
     // The scan feeds stage 0's first profiled operator: what the splits
-    // emitted is exactly what that operator consumed (summed over
-    // partitions).
+    // emitted (after the scan's filter) is exactly what that operator
+    // consumed (summed over partitions).
     let head = profile
         .summaries()
         .into_iter()
@@ -148,6 +148,13 @@ fn split_tuple_counts_are_conserved_into_the_operator_profile() {
         from_splits, head.tuples_in,
         "scan splits and operator profile disagree"
     );
+    // Q1's scan filter (`dataType eq "TMIN"`) drops the other readings
+    // before they are written.
+    let projected: u64 = profile.splits.iter().map(|s| s.tuples).sum();
+    assert!(
+        from_splits < projected,
+        "{from_splits} emitted of {projected} projected"
+    );
     // records >= tuples because the projection filters nothing here but
     // each record fans out its measurements; both must be consistent
     // per split.
@@ -155,6 +162,10 @@ fn split_tuple_counts_are_conserved_into_the_operator_profile() {
         assert!(
             s.tuples == 0 || s.records > 0,
             "split emitted tuples without records: {s:?}"
+        );
+        assert!(
+            s.emitted <= s.tuples,
+            "split emitted more than it projected: {s:?}"
         );
     }
 }
