@@ -183,71 +183,71 @@ mod tests {
     #[test]
     fn count_counts_items_not_tuples() {
         assert_eq!(
-            run(AggFunc::Count, RtExpr::Field(0), ints(&[1, 2, 3])),
+            run(AggFunc::Count, RtExpr::field(0), ints(&[1, 2, 3])),
             Item::int(3)
         );
         // Empty sequences contribute nothing.
         let rows = vec![vec![Item::empty()], vec![Item::int(1)], vec![Item::empty()]];
-        assert_eq!(run(AggFunc::Count, RtExpr::Field(0), rows), Item::int(1));
+        assert_eq!(run(AggFunc::Count, RtExpr::field(0), rows), Item::int(1));
         // A sequence of 2 contributes 2.
         let rows = vec![vec![Item::seq([Item::int(1), Item::int(2)])]];
-        assert_eq!(run(AggFunc::Count, RtExpr::Field(0), rows), Item::int(2));
+        assert_eq!(run(AggFunc::Count, RtExpr::field(0), rows), Item::int(2));
     }
 
     #[test]
     fn sum_avg_min_max() {
         assert_eq!(
-            run(AggFunc::Sum, RtExpr::Field(0), ints(&[5, 7, -2])),
+            run(AggFunc::Sum, RtExpr::field(0), ints(&[5, 7, -2])),
             Item::int(10)
         );
         assert_eq!(
-            run(AggFunc::Avg, RtExpr::Field(0), ints(&[2, 4])),
+            run(AggFunc::Avg, RtExpr::field(0), ints(&[2, 4])),
             Item::double(3.0)
         );
         assert_eq!(
-            run(AggFunc::Min, RtExpr::Field(0), ints(&[5, -1, 3])),
+            run(AggFunc::Min, RtExpr::field(0), ints(&[5, -1, 3])),
             Item::int(-1)
         );
         assert_eq!(
-            run(AggFunc::Max, RtExpr::Field(0), ints(&[5, -1, 3])),
+            run(AggFunc::Max, RtExpr::field(0), ints(&[5, -1, 3])),
             Item::int(5)
         );
-        assert!(run(AggFunc::Avg, RtExpr::Field(0), vec![]).is_empty_sequence());
+        assert!(run(AggFunc::Avg, RtExpr::field(0), vec![]).is_empty_sequence());
     }
 
     #[test]
     fn two_step_count_equals_single_step() {
         // Partition the input, count locally, merge globally.
         let all: Vec<i64> = (0..100).collect();
-        let single = run(AggFunc::Count, RtExpr::Field(0), ints(&all));
+        let single = run(AggFunc::Count, RtExpr::field(0), ints(&all));
 
         let mut partials = Vec::new();
         for chunk in all.chunks(33) {
-            partials.push(vec![run(AggFunc::Count, RtExpr::Field(0), ints(chunk))]);
+            partials.push(vec![run(AggFunc::Count, RtExpr::field(0), ints(chunk))]);
         }
-        let merged = run(AggFunc::MergeCount, RtExpr::Field(0), partials);
+        let merged = run(AggFunc::MergeCount, RtExpr::field(0), partials);
         assert_eq!(single, merged);
     }
 
     #[test]
     fn two_step_avg_equals_single_step() {
         let all: Vec<i64> = (1..=10).collect();
-        let single = run(AggFunc::Avg, RtExpr::Field(0), ints(&all));
+        let single = run(AggFunc::Avg, RtExpr::field(0), ints(&all));
         let mut partials = Vec::new();
         for chunk in all.chunks(3) {
             partials.push(vec![run(
                 AggFunc::PartialAvg,
-                RtExpr::Field(0),
+                RtExpr::field(0),
                 ints(chunk),
             )]);
         }
-        let merged = run(AggFunc::MergeAvg, RtExpr::Field(0), partials);
+        let merged = run(AggFunc::MergeAvg, RtExpr::field(0), partials);
         assert_eq!(single, merged);
     }
 
     #[test]
     fn sequence_agg_buffers_everything() {
-        let got = run(AggFunc::Sequence, RtExpr::Field(0), ints(&[1, 2, 3]));
+        let got = run(AggFunc::Sequence, RtExpr::field(0), ints(&[1, 2, 3]));
         assert_eq!(got, Item::seq([Item::int(1), Item::int(2), Item::int(3)]));
     }
 }

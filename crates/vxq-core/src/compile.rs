@@ -23,7 +23,7 @@
 use crate::aggs::{AggFactory, Fold};
 use crate::error::{EngineError, Result};
 use crate::pool::ScanBufferPool;
-use crate::rtexpr::{RtExpr, EXTRA_FIELD};
+use crate::rtexpr::RtExpr;
 use crate::scan::{
     resolve_collection, EmptyTupleSourceFactory, ProjectedScanFactory, ScanOptions,
     WholeCollectionScanFactory,
@@ -319,7 +319,8 @@ impl UnnestEvaluator for UnnestEval {
 }
 
 /// Compiled SUBPLAN: fold an aggregate over the items of a sequence
-/// expression, evaluating `arg` once per item (bound to [`EXTRA_FIELD`]).
+/// expression, evaluating `arg` once per item (bound to
+/// [`crate::rtexpr::EXTRA_FIELD`]).
 struct SubplanAggEval {
     func: AggFunc,
     seq: RtExpr,
@@ -330,7 +331,7 @@ impl SubplanAggEval {
     fn fold(&self, tuple: &TupleRef<'_>) -> Result<Item> {
         let mut fold = Fold::new(self.func);
         for member in self.seq.eval(tuple)?.iter_sequence() {
-            fold.push(&self.arg.eval_with(tuple, Some(member))?)?;
+            fold.push(&self.arg.eval_ref(tuple, Some(member))?.into_item()?)?;
         }
         Ok(fold.finish())
     }
@@ -435,26 +436,6 @@ impl<'a> Compiler<'a> {
             .ok_or_else(|| EngineError::Compile(format!("variable {v} not in schema {schema:?}")))
     }
 
-    fn compile_expr(e: &LogicalExpr, schema: &[VarId], extra: Option<VarId>) -> Result<RtExpr> {
-        match e {
-            LogicalExpr::Var(v) => {
-                if extra == Some(*v) {
-                    Ok(RtExpr::Field(EXTRA_FIELD))
-                } else {
-                    Self::field_of(schema, *v).map(RtExpr::Field)
-                }
-            }
-            LogicalExpr::Const(item) => Ok(RtExpr::Const(item.clone())),
-            LogicalExpr::Call(f, args) => {
-                let mut cargs = Vec::with_capacity(args.len());
-                for a in args {
-                    cargs.push(Self::compile_expr(a, schema, extra)?);
-                }
-                Ok(RtExpr::Call(*f, cargs))
-            }
-        }
-    }
-
     /// Drop dead columns: keep only `live` variables (plus everything when
     /// `live` is empty, which only happens at the root).
     fn prune(p: &mut Pipeline, live: &HashSet<VarId>) {
@@ -507,7 +488,10 @@ impl<'a> Compiler<'a> {
                     input: PipeInput::Source(Arc::new(ProjectedScanFactory::new(
                         &dir,
                         project.clone(),
-                        filter.as_ref().and_then(|f| TapeFilter::compile(f, *var)),
+                        filter
+                            .as_ref()
+                            .map(|f| TapeFilter::compile(f, *var))
+                            .transpose()?,
                         &self.opts.cluster,
                         &self.opts.scan,
                         self.opts.pool.clone(),
@@ -545,7 +529,7 @@ impl<'a> Compiler<'a> {
                 live_in.extend(expr_vars(expr));
                 let mut p = self.compile_op(input, &live_in, job)?;
                 p.steps
-                    .push(StepSpec::Assign(Self::compile_expr(expr, &p.schema, None)?));
+                    .push(StepSpec::Assign(RtExpr::compile(expr, &p.schema, None)?));
                 p.schema.push(*var);
                 Self::prune(&mut p, live);
                 Ok(p)
@@ -556,7 +540,7 @@ impl<'a> Compiler<'a> {
                 live_in.extend(expr_vars(cond));
                 let mut p = self.compile_op(input, &live_in, job)?;
                 p.steps
-                    .push(StepSpec::Select(Self::compile_expr(cond, &p.schema, None)?));
+                    .push(StepSpec::Select(RtExpr::compile(cond, &p.schema, None)?));
                 Self::prune(&mut p, live);
                 Ok(p)
             }
@@ -577,7 +561,7 @@ impl<'a> Compiler<'a> {
                 let mut p = self.compile_op(input, &live_in, job)?;
                 p.steps.push(StepSpec::Unnest {
                     kind,
-                    arg: Self::compile_expr(inner, &p.schema, None)?,
+                    arg: RtExpr::compile(inner, &p.schema, None)?,
                 });
                 p.schema.push(*var);
                 Self::prune(&mut p, live);
@@ -591,8 +575,8 @@ impl<'a> Compiler<'a> {
                 live_in.insert(s);
                 live_in.extend(expr_vars(arg).into_iter().filter(|v| *v != j));
                 let mut p = self.compile_op(input, &live_in, job)?;
-                let seq = Self::field_of(&p.schema, s).map(RtExpr::Field)?;
-                let carg = Self::compile_expr(arg, &p.schema, Some(j))?;
+                let seq = Self::field_of(&p.schema, s).map(RtExpr::field)?;
+                let carg = RtExpr::compile(arg, &p.schema, Some(j))?;
                 p.steps.push(StepSpec::SubplanAgg {
                     func,
                     seq,
@@ -612,7 +596,7 @@ impl<'a> Compiler<'a> {
                 let mut live_in: HashSet<VarId> = expr_vars(arg).into_iter().collect();
                 live_in.extend(live.iter().copied().filter(|v| v != var));
                 let mut p = self.compile_op(input, &live_in, job)?;
-                let carg = Self::compile_expr(arg, &p.schema, None)?;
+                let carg = RtExpr::compile(arg, &p.schema, None)?;
                 let split = if self.opts.two_step_aggregation && p.parallelism == Parallelism::Full
                 {
                     func.two_step()
@@ -633,7 +617,7 @@ impl<'a> Compiler<'a> {
                             },
                             steps: vec![StepSpec::Aggregate {
                                 func: global,
-                                arg: RtExpr::Field(0),
+                                arg: RtExpr::field(0),
                             }],
                             schema: vec![*var],
                             parallelism: Parallelism::One,
@@ -672,7 +656,7 @@ impl<'a> Compiler<'a> {
                 let schema = p.schema.clone();
                 let mut ckeys = Vec::with_capacity(keys.len());
                 for (e, asc) in keys {
-                    ckeys.push((Self::compile_expr(e, &schema, None)?, *asc));
+                    ckeys.push((RtExpr::compile(e, &schema, None)?, *asc));
                 }
                 // A total order needs one sorter: merge everything to a
                 // single partition, sort there. (A parallel sort-merge
@@ -706,7 +690,7 @@ impl<'a> Compiler<'a> {
                     match e {
                         LogicalExpr::Var(v) => out_fields.push(Self::field_of(&p.schema, *v)?),
                         other => {
-                            let compiled = Self::compile_expr(other, &p.schema, None)?;
+                            let compiled = RtExpr::compile(other, &p.schema, None)?;
                             p.steps.push(StepSpec::Assign(compiled));
                             let v = self.gen.fresh();
                             p.schema.push(v);
@@ -737,15 +721,14 @@ impl<'a> Compiler<'a> {
         let mut p = self.compile_op(input, &live_in, job)?;
 
         // Materialize key fields. Keys always pass through an ASSIGN with
-        // canonicalization (RtExpr::Canon): group membership downstream is
+        // canonicalization (RtExpr::canon): group membership downstream is
         // decided by *byte* equality of the serialized key, so JSONiq-equal
         // values (1 vs 1.0, singleton sequences) must serialize identically.
         let mut key_fields = Vec::with_capacity(keys.len());
         let mut out_schema = Vec::with_capacity(keys.len() + 1);
         for (gv, ke) in keys {
-            let compiled = Self::compile_expr(ke, &p.schema, None)?;
-            p.steps
-                .push(StepSpec::Assign(RtExpr::Canon(Box::new(compiled))));
+            let compiled = RtExpr::compile(ke, &p.schema, None)?;
+            p.steps.push(StepSpec::Assign(compiled.canon()));
             let tmp = self.gen.fresh();
             p.schema.push(tmp);
             key_fields.push(p.schema.len() - 1);
@@ -753,15 +736,16 @@ impl<'a> Compiler<'a> {
         }
         out_schema.push(agg_var);
 
-        let carg = Self::compile_expr(arg, &p.schema, None)?;
+        let carg = RtExpr::compile(arg, &p.schema, None)?;
         let nkeys = key_fields.len();
 
         if func == AggFunc::Sequence {
-            let RtExpr::Field(seq_field) = carg else {
+            let LogicalExpr::Var(v) = arg else {
                 return Err(EngineError::Compile(
                     "sequence aggregation argument must be a variable".into(),
                 ));
             };
+            let seq_field = Self::field_of(&p.schema, *v)?;
             let sid = seal(p, job);
             let mut out = Pipeline {
                 input: PipeInput::Stage {
@@ -806,7 +790,7 @@ impl<'a> Compiler<'a> {
                     steps: vec![StepSpec::HashGroupBy {
                         key_fields: (0..nkeys).collect(),
                         func: global,
-                        arg: RtExpr::Field(nkeys),
+                        arg: RtExpr::field(nkeys),
                     }],
                     schema: out_schema,
                     parallelism: Parallelism::Full,
@@ -923,7 +907,7 @@ impl<'a> Compiler<'a> {
         let residual_rt = if residual.is_empty() {
             None
         } else {
-            Some(Self::compile_expr(
+            Some(RtExpr::compile(
                 &LogicalExpr::conjoin(residual),
                 &out_schema,
                 None,
@@ -977,9 +961,8 @@ impl<'a> Compiler<'a> {
     ) -> Result<Vec<usize>> {
         let mut key_vars = Vec::with_capacity(keys.len());
         for k in keys {
-            let compiled = Self::compile_expr(k, &p.schema, None)?;
-            p.steps
-                .push(StepSpec::Assign(RtExpr::Canon(Box::new(compiled))));
+            let compiled = RtExpr::compile(k, &p.schema, None)?;
+            p.steps.push(StepSpec::Assign(compiled.canon()));
             let tmp = self.gen.fresh();
             p.schema.push(tmp);
             key_vars.push(tmp);

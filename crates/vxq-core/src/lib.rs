@@ -10,7 +10,7 @@
 //!
 //! * [`rtexpr`] — runtime expression evaluation (JSONiq `value`,
 //!   `keys-or-members`, comparisons, arithmetic, dateTime functions) over
-//!   binary tuples.
+//!   views of binary tuples and of the structural-index tape.
 //! * [`aggs`] — the one aggregate fold (`count`, `sum`, `avg`, `min`,
 //!   `max`, their two-step partial/merge forms, and the
 //!   sequence-materializing aggregate of the pre-rewrite plans) shared by
@@ -20,7 +20,8 @@
 //!   single-document scans (pre-rules).
 //! * [`tapefilter`] — the DATASCAN's reject-only filter: the SELECT's
 //!   condition, copied into the scan by `push-select-into-datascan`,
-//!   tested on the structural-index tape before a record is written.
+//!   evaluated by [`rtexpr`] on the structural-index tape before a
+//!   record is written.
 //! * [`compile`] — physical planning: stage splitting, exchange insertion,
 //!   two-step aggregation, join key extraction; logical plan → [`dataflow::JobSpec`].
 //! * [`engine`] — the public API: [`Engine`] executes queries on a

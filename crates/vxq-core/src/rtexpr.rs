@@ -1,5 +1,11 @@
 //! Runtime expressions: logical expressions with variables resolved to
-//! tuple field indices, evaluated over binary tuples.
+//! tuple field indices, compiled into a flat table of their distinct
+//! subexpressions. One evaluator runs them over two routes: path steps,
+//! comparisons, boolean connectives, the dateTime functions and arithmetic
+//! on two numbers (except `idiv`) read [`View`]s in place (binary tuple
+//! fields for the operators, [`crate::tapefilter::TapeView`] tape nodes
+//! for the DATASCAN's filter); every other case decodes and defers to
+//! [`apply`], the reference semantics the property tests pin views to.
 //!
 //! JSONiq sequence semantics are implemented faithfully where the paper's
 //! queries exercise them:
@@ -14,9 +20,10 @@
 
 use crate::aggs::Fold;
 use crate::error::{EngineError, Result};
-use algebra::expr::{AggFunc, Function};
+use algebra::expr::{AggFunc, Function, LogicalExpr};
+use algebra::plan::VarId;
 use dataflow::TupleRef;
-use jdm::binary::{tag, write_item, ItemRef};
+use jdm::binary::{tag, to_bytes, write_item, ItemRef};
 use jdm::{DateTime, Item, Number};
 use std::cmp::Ordering;
 
@@ -24,69 +31,218 @@ use std::cmp::Ordering;
 /// (the per-item variable of a nested UNNEST).
 pub const EXTRA_FIELD: usize = usize::MAX;
 
-/// A compiled runtime expression.
+/// A value read in place, not decoded: a binary item of a tuple, or a
+/// node of the structural-index tape.
+pub trait View<'a>: Copy {
+    /// The value as a comparison operand ([`Atom::Other`] for arrays and
+    /// objects); `None` for sequences and for values that must decode (an
+    /// escaped string on the tape).
+    fn atom(&self) -> Option<Atom<'a>>;
+    /// The value of the first `key` member of an object.
+    fn get_key(&self, key: &str) -> Option<Self>;
+    /// The 0-based `i`-th member of an array.
+    fn member(&self, i: usize) -> Option<Self>;
+    /// The value decoded into the tree model, for [`apply`].
+    fn to_item(&self) -> jdm::Result<Item>;
+}
+
+impl<'a> View<'a> for ItemRef<'a> {
+    fn atom(&self) -> Option<Atom<'a>> {
+        Some(match self.tag() {
+            tag::NULL => Atom::Null,
+            tag::FALSE => Atom::Bool(false),
+            tag::TRUE => Atom::Bool(true),
+            tag::INT | tag::DOUBLE => Atom::Number(self.as_number()?),
+            tag::STRING => Atom::String(self.as_str()?),
+            tag::DATETIME => Atom::DateTime(self.as_datetime()?),
+            tag::ARRAY | tag::OBJECT => Atom::Other,
+            _ => return None,
+        })
+    }
+    fn get_key(&self, key: &str) -> Option<Self> {
+        ItemRef::get_key(self, key)
+    }
+    fn member(&self, i: usize) -> Option<Self> {
+        ItemRef::member(self, i)
+    }
+    fn to_item(&self) -> jdm::Result<Item> {
+        ItemRef::to_item(self)
+    }
+}
+
+/// A compiled runtime expression: its distinct subexpressions in
+/// evaluation order (left to right, arguments first), each reading only
+/// earlier slots; the last slot is the result. Equal subexpressions share
+/// one slot, so each is computed once per tuple.
 #[derive(Debug, Clone)]
-pub enum RtExpr {
+pub struct RtExpr {
+    pub(crate) ops: Vec<Op>,
+    /// Whether more than one op reads the slot: a computed item read by
+    /// one op alone moves into [`apply`], a shared one is cloned.
+    shared: Vec<bool>,
+}
+
+/// One slot of an [`RtExpr`].
+#[derive(Debug, Clone)]
+pub(crate) enum Op {
     /// Read tuple field `i` (or the subplan extra item).
     Field(usize),
     /// Literal.
     Const(Item),
-    /// Function application.
-    Call(Function, Vec<RtExpr>),
-    /// Evaluate and canonicalize for *byte-equality* contexts (group-by
-    /// and join keys): exchanges and hash tables compare serialized
-    /// bytes, so values that are JSONiq-equal must serialize identically.
-    /// Doubles holding exact integers become integers; singleton
-    /// sequences unwrap.
-    Canon(Box<RtExpr>),
+    /// Function application to earlier slots.
+    Call(Function, Vec<usize>),
+    /// [`canonicalize`] an earlier slot.
+    Canon(usize),
+}
+
+impl PartialEq for Op {
+    fn eq(&self, other: &Op) -> bool {
+        match (self, other) {
+            (Op::Field(a), Op::Field(b)) | (Op::Canon(a), Op::Canon(b)) => a == b,
+            // `1` and `1.0` are equal items but write different bytes.
+            (Op::Const(a), Op::Const(b)) => a == b && to_bytes(a) == to_bytes(b),
+            (Op::Call(f, a), Op::Call(g, b)) => f == g && a == b,
+            _ => false,
+        }
+    }
 }
 
 impl RtExpr {
+    /// Compile `e`, reading each variable from its field in `schema`, and
+    /// `extra` (a subplan's per-item variable) from [`EXTRA_FIELD`]. The
+    /// coercion scaffolding (`promote`, `data`, `treat`, `iterate`) is the
+    /// identity on this data model and compiles to its argument.
+    pub fn compile(e: &LogicalExpr, schema: &[VarId], extra: Option<VarId>) -> Result<RtExpr> {
+        let mut expr = RtExpr {
+            ops: Vec::new(),
+            shared: Vec::new(),
+        };
+        expr.lower(e, schema, extra)?;
+        Ok(expr)
+    }
+
+    /// Add the ops of `e`, reusing an equal op where there is one (whose
+    /// slot is then read more than once); returns the slot of `e`.
+    fn lower(&mut self, e: &LogicalExpr, schema: &[VarId], extra: Option<VarId>) -> Result<usize> {
+        use Function::*;
+        let op = match e {
+            LogicalExpr::Var(v) if extra == Some(*v) => Op::Field(EXTRA_FIELD),
+            LogicalExpr::Var(v) => {
+                Op::Field(schema.iter().position(|x| x == v).ok_or_else(|| {
+                    EngineError::Compile(format!("variable {v} not in schema {schema:?}"))
+                })?)
+            }
+            LogicalExpr::Const(item) => Op::Const(item.clone()),
+            LogicalExpr::Call(Promote | Data | TreatItem | Iterate, args) if args.len() == 1 => {
+                return self.lower(&args[0], schema, extra)
+            }
+            LogicalExpr::Call(f, args) => Op::Call(
+                *f,
+                args.iter()
+                    .map(|a| self.lower(a, schema, extra))
+                    .collect::<Result<_>>()?,
+            ),
+        };
+        if let Some(slot) = self.ops.iter().position(|o| *o == op) {
+            self.shared[slot] = true;
+            return Ok(slot);
+        }
+        self.ops.push(op);
+        self.shared.push(false);
+        Ok(self.ops.len() - 1)
+    }
+
+    /// Read tuple field `i`.
+    pub fn field(i: usize) -> RtExpr {
+        RtExpr {
+            ops: vec![Op::Field(i)],
+            shared: vec![false],
+        }
+    }
+
+    /// Canonicalize the result for *byte-equality* contexts (group-by and
+    /// join keys): exchanges and hash tables compare serialized bytes, so
+    /// values that are JSONiq-equal must serialize identically (see
+    /// [`canonicalize`]).
+    pub fn canon(mut self) -> RtExpr {
+        self.ops.push(Op::Canon(self.ops.len() - 1));
+        self.shared.push(false);
+        self
+    }
+
     /// Evaluate over a tuple.
     pub fn eval(&self, tuple: &TupleRef<'_>) -> Result<Item> {
         self.eval_ref(tuple, None)?.into_item()
     }
 
-    /// Evaluate with an optional extra item bound to [`EXTRA_FIELD`].
-    pub fn eval_with(&self, tuple: &TupleRef<'_>, extra: Option<&Item>) -> Result<Item> {
-        self.eval_ref(tuple, extra)?.into_item()
-    }
-
-    /// Evaluate without materializing what the result does not need: a
-    /// field is a zero-copy view of the tuple's bytes, a constant is
-    /// borrowed, and path steps, comparisons, boolean connectives, the
-    /// dateTime functions and arithmetic on two numbers (except `idiv`)
-    /// work on those views. Every other case decodes its arguments and
-    /// defers to [`apply`], which stays the reference semantics (the
-    /// property tests pin the two together).
+    /// [`RtExpr::eval_view`] over the binary fields of a tuple: a field is
+    /// a zero-copy view of the tuple's bytes.
     pub fn eval_ref<'a>(
         &'a self,
         tuple: &TupleRef<'a>,
         extra: Option<&'a Item>,
     ) -> Result<Val<'a>> {
-        match self {
-            RtExpr::Field(i) => {
-                if *i == EXTRA_FIELD {
-                    return extra
-                        .map(Val::Borrowed)
-                        .ok_or_else(|| EngineError::Runtime("extra field unbound".into()));
-                }
-                ItemRef::new(tuple.field(*i))
-                    .map(Val::Ref)
-                    .map_err(|e| EngineError::Runtime(format!("bad field {i}: {e}")))
-            }
-            RtExpr::Const(item) => Ok(Val::Borrowed(item)),
-            RtExpr::Canon(inner) => canonicalize_val(inner.eval_ref(tuple, extra)?),
-            RtExpr::Call(f, args) => call(*f, args, tuple, extra),
+        self.eval_view(|i| ItemRef::new(tuple.field(i)), extra)
+    }
+
+    /// Evaluate with field `i` read as `field(i)`, without materializing
+    /// what the result does not need: a constant is borrowed, a path step
+    /// on a view is a view, and only [`apply`]'s cases decode. Arguments
+    /// are evaluated left to right, all of them, so the expression fails
+    /// with the error its first failing subexpression raises.
+    pub fn eval_view<'a, V: View<'a>>(
+        &'a self,
+        field: impl Fn(usize) -> jdm::Result<V>,
+        extra: Option<&'a Item>,
+    ) -> Result<Val<'a, V>> {
+        let null = Slot::Atom(Atom::Null);
+        match self.ops.len() {
+            0..=4 => self.run(&mut [null; 4], field, extra),
+            5..=8 => self.run(&mut [null; 8], field, extra),
+            9..=16 => self.run(&mut [null; 16], field, extra),
+            n => self.run(&mut vec![null; n], field, extra),
         }
+    }
+
+    /// [`RtExpr::eval_view`] with room for the slots in `slots`.
+    fn run<'a, V: View<'a>>(
+        &'a self,
+        slots: &mut [Slot<'a, V>],
+        field: impl Fn(usize) -> jdm::Result<V>,
+        extra: Option<&'a Item>,
+    ) -> Result<Val<'a, V>> {
+        let mut arena = Vec::new();
+        for (i, op) in self.ops.iter().enumerate() {
+            slots[i] = match op {
+                Op::Field(EXTRA_FIELD) => Slot::Item(
+                    extra.ok_or_else(|| EngineError::Runtime("extra field unbound".into()))?,
+                ),
+                Op::Field(f) => Slot::View(
+                    field(*f).map_err(|e| EngineError::Runtime(format!("bad field {f}: {e}")))?,
+                ),
+                Op::Const(item) => Slot::Item(item),
+                Op::Canon(a) => canonicalize_slot(slots[*a], &mut arena)?,
+                Op::Call(f, args) => call(*f, args, slots, &self.shared, &mut arena)?,
+            };
+        }
+        Ok(match slots[self.ops.len() - 1] {
+            Slot::View(v) => Val::Ref(v),
+            Slot::Item(item) => Val::Borrowed(item),
+            Slot::Atom(a) => Val::Owned(a.to_item()),
+            Slot::Owned(i) => Val::Owned(arena.swap_remove(i)),
+        })
     }
 }
 
-/// A value during evaluation, borrowed where possible.
+/// The empty sequence: the value of a path step that finds nothing.
+static EMPTY: Item = Item::Sequence(Vec::new());
+
+/// The result of an evaluation, borrowed where possible.
 #[derive(Debug)]
-pub enum Val<'a> {
-    /// A view of serialized bytes: a tuple field or a part of one.
-    Ref(ItemRef<'a>),
+pub enum Val<'a, V = ItemRef<'a>> {
+    /// A view of a value in place: a tuple field, a tape node, or a part
+    /// of one.
+    Ref(V),
     /// A constant of the expression, or the subplan's extra item.
     Borrowed(&'a Item),
     /// A value computed during evaluation.
@@ -94,17 +250,6 @@ pub enum Val<'a> {
 }
 
 impl Val<'_> {
-    /// The value as a tree-model item: decodes a view, clones a borrow.
-    pub fn into_item(self) -> Result<Item> {
-        match self {
-            Val::Ref(r) => r
-                .to_item()
-                .map_err(|e| EngineError::Runtime(format!("bad item: {e}"))),
-            Val::Borrowed(item) => Ok(item.clone()),
-            Val::Owned(item) => Ok(item),
-        }
-    }
-
     /// Append the value in the binary item format; a view's bytes are
     /// copied as they are.
     pub fn write(&self, out: &mut Vec<u8>) {
@@ -114,238 +259,172 @@ impl Val<'_> {
             Val::Owned(item) => write_item(item, out),
         }
     }
+}
 
-    fn item(&self) -> Option<&Item> {
+impl<'a, V: View<'a>> Val<'a, V> {
+    /// The value as a tree-model item: decodes a view, clones a borrow.
+    pub fn into_item(self) -> Result<Item> {
         match self {
-            Val::Ref(_) => None,
-            Val::Borrowed(item) => Some(item),
-            Val::Owned(item) => Some(item),
+            Val::Ref(r) => Slot::View(r).to_item(&[]),
+            Val::Borrowed(item) => Ok(item.clone()),
+            Val::Owned(item) => Ok(item),
         }
     }
+}
 
-    /// The binary type tag of the value, for views and items alike.
-    fn kind(&self) -> u8 {
-        match self {
-            Val::Ref(r) => r.tag(),
-            Val::Borrowed(item) => item_tag(item),
-            Val::Owned(item) => item_tag(item),
-        }
-    }
+/// A slot's value during an evaluation: a view, a constant (or the extra
+/// item, or the empty sequence), a computed atom, or the index of a
+/// computed item in the evaluation's arena. It is copied, never dropped.
+#[derive(Clone, Copy)]
+enum Slot<'a, V> {
+    View(V),
+    Item(&'a Item),
+    Atom(Atom<'a>),
+    Owned(usize),
+}
 
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Val::Ref(r) => r.as_str(),
-            _ => self.item()?.as_str(),
-        }
-    }
-
-    fn as_number(&self) -> Option<Number> {
-        match self {
-            Val::Ref(r) => r.as_number(),
-            _ => self.item()?.as_number(),
-        }
-    }
-
-    fn as_datetime(&self) -> Option<DateTime> {
-        match self {
-            Val::Ref(r) => r.as_datetime(),
-            _ => self.item()?.as_datetime(),
-        }
-    }
-
+impl<'a, V: View<'a>> Slot<'a, V> {
     /// The value as a comparison operand; `None` for sequences (which
-    /// compare existentially) and for unreadable views, both left to
-    /// [`apply`].
-    fn atom(&self) -> Option<Atom<'_>> {
-        let Val::Ref(r) = self else {
-            return item_atom(self.item()?);
-        };
-        Some(match r.tag() {
-            tag::NULL => Atom::Null,
-            tag::FALSE => Atom::Bool(false),
-            tag::TRUE => Atom::Bool(true),
-            tag::INT | tag::DOUBLE => Atom::Number(r.as_number()?),
-            tag::STRING => Atom::String(r.as_str()?),
-            tag::DATETIME => Atom::DateTime(r.as_datetime()?),
-            tag::ARRAY | tag::OBJECT => Atom::Other,
-            _ => return None,
+    /// compare existentially) and for views that must decode, both left
+    /// to [`apply`].
+    fn atom<'s>(self, arena: &'s [Item]) -> Option<Atom<'s>>
+    where
+        'a: 's,
+    {
+        match self {
+            Slot::Atom(a) => Some(a),
+            Slot::View(v) => v.atom(),
+            Slot::Item(item) => item_atom(item),
+            Slot::Owned(i) => item_atom(&arena[i]),
+        }
+    }
+
+    /// Effective boolean value; `None` for sequences (and views that must
+    /// decode), left to [`apply`].
+    fn ebv(self, arena: &[Item]) -> Option<bool> {
+        Some(match self.atom(arena)? {
+            Atom::Bool(b) => b,
+            Atom::Null => false,
+            _ => true,
         })
     }
 
-    /// Effective boolean value; `None` for sequences, left to [`apply`].
-    fn ebv(&self) -> Option<bool> {
-        match self.kind() {
-            tag::TRUE => Some(true),
-            tag::FALSE | tag::NULL => Some(false),
-            tag::SEQUENCE => None,
-            _ => Some(true),
+    fn to_item(self, arena: &[Item]) -> Result<Item> {
+        match self {
+            Slot::View(v) => v
+                .to_item()
+                .map_err(|e| EngineError::Runtime(format!("bad item: {e}"))),
+            Slot::Atom(a) => Ok(a.to_item()),
+            Slot::Item(item) => Ok(item.clone()),
+            Slot::Owned(i) => Ok(arena[i].clone()),
         }
     }
 }
 
-/// The binary type tag an item serializes with.
-fn item_tag(item: &Item) -> u8 {
-    match item {
-        Item::Null => tag::NULL,
-        Item::Boolean(false) => tag::FALSE,
-        Item::Boolean(true) => tag::TRUE,
-        Item::Number(Number::Int(_)) => tag::INT,
-        Item::Number(Number::Double(_)) => tag::DOUBLE,
-        Item::String(_) => tag::STRING,
-        Item::Array(_) => tag::ARRAY,
-        Item::Object(_) => tag::OBJECT,
-        Item::DateTime(_) => tag::DATETIME,
-        Item::Sequence(_) => tag::SEQUENCE,
-    }
-}
-
-/// Apply `f` to the (unevaluated) `args`, on views where the function
-/// allows it and through [`apply`] otherwise. Every argument is evaluated
-/// first, left to right, in both routes, so a query raises the same
-/// errors either way.
-fn call<'a>(
+/// Apply `f` to the evaluated slots `args`, on views where the function
+/// allows it and through [`apply`] otherwise.
+#[inline]
+fn call<'a, V: View<'a>>(
     f: Function,
-    args: &'a [RtExpr],
-    tuple: &TupleRef<'a>,
-    extra: Option<&'a Item>,
-) -> Result<Val<'a>> {
+    args: &[usize],
+    slots: &[Slot<'a, V>],
+    shared: &[bool],
+    arena: &mut Vec<Item>,
+) -> Result<Slot<'a, V>> {
     use Function::*;
-    let eval = |a: &'a RtExpr| a.eval_ref(tuple, extra);
-    match (f, args) {
-        (Promote | Data | TreatItem | Iterate, [a]) => eval(a),
-        (Value, [base, key]) => {
-            let (base, key) = (eval(base)?, eval(key)?);
-            match value_view(&base, &key) {
-                Some(v) => Ok(v),
-                None => fallback(f, [base, key]),
-            }
-        }
-        (Eq | Ne | Ge | Le | Gt | Lt, [lhs, rhs]) => {
-            let (lhs, rhs) = (eval(lhs)?, eval(rhs)?);
-            match (lhs.atom(), rhs.atom()) {
-                (Some(l), Some(r)) => Ok(Val::Owned(Item::Boolean(compare_atoms(f, l, r)))),
-                _ => fallback(f, [lhs, rhs]),
-            }
-        }
-        (Not, [a]) => {
-            let arg = eval(a)?;
-            match arg.ebv() {
-                Some(b) => Ok(Val::Owned(Item::Boolean(!b))),
-                None => fallback(f, [arg]),
-            }
-        }
-        (And | Or, _) => {
-            let (mut all, mut any) = (true, false);
-            for a in args {
-                match eval(a)?.ebv() {
-                    Some(b) => {
-                        all &= b;
-                        any |= b;
-                    }
-                    // A sequence operand: re-evaluate everything for apply.
-                    None => return fallback(f, args.iter().map(eval).collect::<Result<Vec<_>>>()?),
-                }
-            }
-            Ok(Val::Owned(Item::Boolean(if f == And { all } else { any })))
-        }
-        (Add | Sub | Mul | Div, [lhs, rhs]) => {
-            let (lhs, rhs) = (eval(lhs)?, eval(rhs)?);
-            match (numeric(&lhs), numeric(&rhs)) {
-                (Some(a), Some(b)) => Ok(Val::Owned(Item::Number(match f {
-                    Add => a.add(b),
-                    Sub => a.sub(b),
-                    Mul => a.mul(b),
-                    _ => a.div(b),
-                }))),
-                _ => fallback(f, [lhs, rhs]),
-            }
-        }
-        (DateTime, [a]) => {
-            let arg = eval(a)?;
-            if let Some(s) = arg.as_str() {
+    let arg = |i: usize| slots[args[i]];
+    let atom = |a: Atom<'static>| Some(Slot::Atom(a));
+    let on_views = match (f, args.len()) {
+        (Value, 2) => value_view(arg(0), arg(1), arena),
+        (Eq | Ne | Ge | Le | Gt | Lt, 2) => match (arg(0).atom(arena), arg(1).atom(arena)) {
+            (Some(l), Some(r)) => atom(Atom::Bool(compare_atoms(f, l, r))),
+            _ => None,
+        },
+        (Not, 1) => arg(0).ebv(arena).and_then(|b| atom(Atom::Bool(!b))),
+        (And, n) => (0..n)
+            .try_fold(true, |all, i| Some(all & arg(i).ebv(arena)?))
+            .and_then(|b| atom(Atom::Bool(b))),
+        (Or, n) => (0..n)
+            .try_fold(false, |any, i| Some(any | arg(i).ebv(arena)?))
+            .and_then(|b| atom(Atom::Bool(b))),
+        (Add | Sub | Mul | Div, 2) => match (arg(0).atom(arena), arg(1).atom(arena)) {
+            (Some(Atom::Number(a)), Some(Atom::Number(b))) => atom(Atom::Number(match f {
+                Add => a.add(b),
+                Sub => a.sub(b),
+                Mul => a.mul(b),
+                _ => a.div(b),
+            })),
+            _ => None,
+        },
+        (DateTime, 1) => match arg(0).atom(arena) {
+            Some(Atom::String(s)) => {
                 return jdm::DateTime::parse(s)
-                    .map(|d| Val::Owned(Item::DateTime(d)))
-                    .map_err(|e| EngineError::Runtime(e.to_string()));
+                    .map(|d| Slot::Atom(Atom::DateTime(d)))
+                    .map_err(|e| EngineError::Runtime(e.to_string()))
             }
-            match arg.as_datetime() {
-                Some(d) => Ok(Val::Owned(Item::DateTime(d))),
-                None => fallback(f, [arg]),
-            }
-        }
-        (YearFromDateTime | MonthFromDateTime | DayFromDateTime, [a]) => {
-            let arg = eval(a)?;
-            match arg.as_datetime() {
-                Some(d) => Ok(Val::Owned(Item::int(date_part(f, d)))),
-                None => fallback(f, [arg]),
-            }
-        }
-        _ => fallback(f, args.iter().map(eval).collect::<Result<Vec<_>>>()?),
-    }
-}
-
-/// The number a numeric atom holds; `None` for everything else, which
-/// arithmetic leaves to [`apply`] (sequences, the empty sequence, and the
-/// non-numbers it rejects).
-fn numeric(val: &Val<'_>) -> Option<Number> {
-    match val.kind() {
-        tag::INT | tag::DOUBLE => val.as_number(),
+            Some(Atom::DateTime(d)) => atom(Atom::DateTime(d)),
+            _ => None,
+        },
+        (YearFromDateTime | MonthFromDateTime | DayFromDateTime, 1) => match arg(0).atom(arena) {
+            Some(Atom::DateTime(d)) => atom(Atom::Number(Number::Int(date_part(f, d)))),
+            _ => None,
+        },
         _ => None,
+    };
+    if let Some(slot) = on_views {
+        return Ok(slot);
     }
-}
-
-/// Decode evaluated arguments and [`apply`] `f` to them.
-fn fallback<'a>(f: Function, vals: impl IntoIterator<Item = Val<'a>>) -> Result<Val<'a>> {
-    let items = vals
-        .into_iter()
-        .map(Val::into_item)
-        .collect::<Result<Vec<_>>>()?;
-    apply(f, items).map(Val::Owned)
+    // A computed item read by this op alone moves into `apply`.
+    let items = args.iter().map(|&a| match slots[a] {
+        Slot::Owned(i) if !shared[a] => Ok(std::mem::replace(&mut arena[i], Item::Null)),
+        slot => slot.to_item(arena),
+    });
+    let item = apply(f, items.collect::<Result<Vec<_>>>()?)?;
+    arena.push(item);
+    Ok(Slot::Owned(arena.len() - 1))
 }
 
 /// [`value_step`] on a view or a borrowed item, returning a view or a
 /// borrow of the member. `None` where [`apply`] must decide: sequences
-/// (the step maps over them), owned bases and unreadable keys.
-fn value_view<'a>(base: &Val<'a>, key: &Val<'_>) -> Option<Val<'a>> {
-    let empty = || Val::Owned(Item::empty());
-    match (base.kind(), key.kind()) {
-        (tag::OBJECT, tag::STRING) => {
-            let k = key.as_str()?;
-            Some(match base {
-                Val::Ref(r) => r.get_key(k).map_or_else(empty, Val::Ref),
-                Val::Borrowed(item) => item.get_key(k).map_or_else(empty, Val::Borrowed),
-                Val::Owned(_) => return None,
-            })
-        }
-        (tag::ARRAY, _) => {
-            let Some(pos) = key.as_number().and_then(Number::as_i64) else {
-                return Some(empty());
-            };
-            Some(match base {
-                Val::Ref(r) if pos >= 1 => {
-                    r.member((pos - 1) as usize).map_or_else(empty, Val::Ref)
-                }
-                Val::Ref(_) => empty(),
-                Val::Borrowed(item) => item.get_position(pos).map_or_else(empty, Val::Borrowed),
-                Val::Owned(_) => return None,
-            })
-        }
-        (tag::SEQUENCE, _) => None,
-        // An object with a non-string key, or an atomic base.
-        _ => Some(empty()),
-    }
+/// (the step maps over them), computed values and keys that must decode.
+fn value_view<'a, V: View<'a>>(
+    base: Slot<'a, V>,
+    key: Slot<'a, V>,
+    arena: &[Item],
+) -> Option<Slot<'a, V>> {
+    let empty = Slot::Item(&EMPTY);
+    base.atom(arena)?;
+    let pos = |n: Number| n.as_i64().filter(|&p| p >= 1);
+    Some(match (base, key.atom(arena)?) {
+        (Slot::View(r), Atom::String(k)) => r.get_key(k).map_or(empty, Slot::View),
+        (Slot::Item(item), Atom::String(k)) => item.get_key(k).map_or(empty, Slot::Item),
+        (Slot::View(r), Atom::Number(n)) => pos(n)
+            .and_then(|p| r.member(p as usize - 1))
+            .map_or(empty, Slot::View),
+        (Slot::Item(item), Atom::Number(n)) => pos(n)
+            .and_then(|p| item.get_position(p))
+            .map_or(empty, Slot::Item),
+        (Slot::Atom(_) | Slot::Owned(_), _) => return None,
+        // A key of the wrong type: the step finds nothing.
+        _ => empty,
+    })
 }
 
-/// [`canonicalize`] on a value: a view's bytes are kept unless a double
-/// must narrow to an integer or a singleton sequence must unwrap.
-fn canonicalize_val(val: Val<'_>) -> Result<Val<'_>> {
-    match val.kind() {
-        tag::DOUBLE => Ok(match val.as_number().and_then(Number::as_i64) {
-            Some(i) => Val::Owned(Item::int(i)),
-            None => val,
-        }),
-        tag::SEQUENCE => Ok(Val::Owned(canonicalize(val.into_item()?))),
-        _ => Ok(val),
-    }
+/// [`canonicalize`] on a slot: an atom is kept unless a double must
+/// narrow to an integer; anything else decodes.
+fn canonicalize_slot<'a, V: View<'a>>(
+    slot: Slot<'a, V>,
+    arena: &mut Vec<Item>,
+) -> Result<Slot<'a, V>> {
+    Ok(match slot.atom(arena) {
+        Some(Atom::Number(n)) => Slot::Atom(Atom::Number(n.as_i64().map_or(n, Number::Int))),
+        Some(_) => slot,
+        None => {
+            let item = canonicalize(slot.to_item(arena)?);
+            arena.push(item);
+            Slot::Owned(arena.len() - 1)
+        }
+    })
 }
 
 /// Canonicalize an item for byte-equality key contexts: unwrap singleton
@@ -454,7 +533,7 @@ pub fn keys_or_members(base: &Item) -> Item {
 }
 
 /// Effective boolean value (the subset we need: booleans, emptiness).
-fn ebv(item: &Item) -> bool {
+pub(crate) fn ebv(item: &Item) -> bool {
     match item {
         Item::Boolean(b) => *b,
         Item::Sequence(v) => v.first().map(ebv).unwrap_or(false),
@@ -488,7 +567,7 @@ fn compare(f: Function, lhs: &Item, rhs: &Item) -> bool {
 }
 
 /// An item as a comparison operand; `None` for sequences.
-pub(crate) fn item_atom(item: &Item) -> Option<Atom<'_>> {
+fn item_atom(item: &Item) -> Option<Atom<'_>> {
     Some(match item {
         Item::Null => Atom::Null,
         Item::Boolean(b) => Atom::Bool(*b),
@@ -500,34 +579,40 @@ pub(crate) fn item_atom(item: &Item) -> Option<Atom<'_>> {
     })
 }
 
-/// A comparison operand, borrowed from an item, a view or (in the
-/// DATASCAN's tape filter) the raw record.
+/// An atomic value: a comparison operand, borrowed from an item or a
+/// view, or a value computed during evaluation.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Atom<'a> {
+pub enum Atom<'a> {
+    /// `null`.
     Null,
+    /// A boolean.
     Bool(bool),
+    /// A number.
     Number(Number),
+    /// A string.
     String(&'a str),
+    /// A dateTime.
     DateTime(DateTime),
     /// An array or object: comparable to nothing.
     Other,
 }
 
 impl Atom<'_> {
-    /// Effective boolean value, as [`Val`]'s `ebv` reads it from the tag:
-    /// booleans are themselves, `null` is false, everything else true.
-    pub(crate) fn ebv(self) -> bool {
+    fn to_item(self) -> Item {
         match self {
-            Atom::Bool(b) => b,
-            Atom::Null => false,
-            _ => true,
+            Atom::Null => Item::Null,
+            Atom::Bool(b) => Item::Boolean(b),
+            Atom::Number(n) => Item::Number(n),
+            Atom::String(s) => Item::str(s),
+            Atom::DateTime(d) => Item::DateTime(d),
+            Atom::Other => unreachable!("evaluation computes no array or object atom"),
         }
     }
 }
 
 /// Value comparison of two atoms: the one comparison core of
-/// [`RtExpr::eval_ref`], [`apply`] and the DATASCAN's tape filter.
-pub(crate) fn compare_atoms(f: Function, lhs: Atom<'_>, rhs: Atom<'_>) -> bool {
+/// [`RtExpr::eval_view`] and [`apply`].
+fn compare_atoms(f: Function, lhs: Atom<'_>, rhs: Atom<'_>) -> bool {
     let ord = match (lhs, rhs) {
         (Atom::Number(a), Atom::Number(b)) => a.num_cmp(b),
         (Atom::String(a), Atom::String(b)) => a.cmp(b),
@@ -572,7 +657,7 @@ fn arith(f: Function, lhs: &Item, rhs: &Item) -> Result<Item> {
 }
 
 /// The year, month or day of `d` for the accessor `f`.
-pub(crate) fn date_part(f: Function, d: DateTime) -> i64 {
+fn date_part(f: Function, d: DateTime) -> i64 {
     match f {
         Function::YearFromDateTime => d.year as i64,
         Function::MonthFromDateTime => d.month as i64,
@@ -713,10 +798,8 @@ mod tests {
         let rows = vec![vec![to_bytes(&obj(r#"{"k": 42}"#))]];
         let frames = frames_from_rows(&rows, 1024);
         let t = frames[0].tuple(0);
-        let e = RtExpr::Call(
-            Function::Value,
-            vec![RtExpr::Field(0), RtExpr::Const(Item::str("k"))],
-        );
+        let e = LogicalExpr::value_key(LogicalExpr::Var(VarId(7)), "k");
+        let e = RtExpr::compile(&e, &[VarId(7)], None).unwrap();
         assert_eq!(e.eval(&t).unwrap(), Item::int(42));
     }
 }

@@ -1,20 +1,23 @@
 //! Property tests for the runtime expression layer: navigation over the
 //! binary tuple encoding must agree with direct tree-model navigation,
-//! grouped aggregation must be partition-invariant, and the zero-copy
-//! evaluator (`RtExpr::eval_ref`) must agree with `apply` over decoded
-//! items — same values, same error text — and every aggregate must give
-//! the same value or error whether it folds a whole sequence, one item
-//! per tuple, or partials merged in two steps.
+//! grouped aggregation must be partition-invariant, and the evaluator over
+//! views (binary tuple fields and structural-index tape nodes) must agree
+//! with `apply` over decoded items — same values, same error text — and
+//! every aggregate must give the same value or error whether it folds a
+//! whole sequence, one item per tuple, or partials merged in two steps.
 
-use algebra::expr::{AggFunc, Function};
+use algebra::expr::{AggFunc, Function, LogicalExpr};
+use algebra::plan::VarId;
 use dataflow::frame::frames_from_rows;
 use dataflow::ops::eval::AggregatorFactory;
 use dataflow::DataflowError;
 use jdm::binary::{to_bytes, ItemRef};
+use jdm::index::StructuralIndex;
 use jdm::{DateTime, Item, Number};
 use proptest::prelude::*;
 use vxq_core::aggs::AggFactory;
 use vxq_core::rtexpr::{apply, canonicalize, keys_or_members, value_step, RtExpr};
+use vxq_core::tapefilter::TapeView;
 
 fn arb_json(depth: u32) -> impl Strategy<Value = Item> {
     let leaf = prop_oneof![
@@ -33,16 +36,25 @@ fn arb_json(depth: u32) -> impl Strategy<Value = Item> {
     })
 }
 
+/// Variable `i`, read from tuple field `i`.
+fn var(i: u32) -> LogicalExpr {
+    LogicalExpr::Var(VarId(i))
+}
+
+fn compile(e: &LogicalExpr) -> RtExpr {
+    RtExpr::compile(e, &[VarId(0), VarId(1)], None).expect("reads fields 0 and 1")
+}
+
 /// Evaluate `value(Field(0), key)` through the full tuple machinery.
 fn eval_value_via_tuple(item: &Item, key: &Item) -> Item {
     let rows = vec![vec![to_bytes(item)]];
     let frames = frames_from_rows(&rows, 64 * 1024);
     let t = frames[0].tuple(0);
-    let e = RtExpr::Call(
+    let e = LogicalExpr::Call(
         Function::Value,
-        vec![RtExpr::Field(0), RtExpr::Const(key.clone())],
+        vec![var(0), LogicalExpr::Const(key.clone())],
     );
-    e.eval(&t).expect("value never fails")
+    compile(&e).eval(&t).expect("value never fails")
 }
 
 proptest! {
@@ -150,36 +162,44 @@ const FUNCTIONS: [(Function, usize); 24] = [
     (Function::Max, 1),
 ];
 
+/// `f` over two fields, and with either operand a constant (a borrow).
+fn exprs(f: Function, arity: usize, a: &Item, b: &Item) -> [RtExpr; 3] {
+    let call = |x, y| {
+        compile(&LogicalExpr::Call(
+            f,
+            [x, y].into_iter().take(arity).collect(),
+        ))
+    };
+    [
+        call(var(0), var(1)),
+        call(var(0), LogicalExpr::Const(b.clone())),
+        call(LogicalExpr::Const(a.clone()), var(1)),
+    ]
+}
+
+/// Whether JSON text can hold the item (no dateTimes, no sequences).
+fn is_json(item: &Item) -> bool {
+    match item {
+        Item::DateTime(_) | Item::Sequence(_) => false,
+        Item::Array(members) => members.iter().all(is_json),
+        Item::Object(pairs) => pairs.iter().all(|(_, v)| is_json(v)),
+        _ => true,
+    }
+}
+
 /// `f` over tuple fields (views), and with either operand a constant (a
-/// borrow), must give what `apply` gives over the decoded items.
+/// borrow), must give what `apply` gives over the decoded items. When
+/// JSON text can hold both operands, `f` over the nodes of the record
+/// `[a, b]` on the structural-index tape, and over the bytes
+/// `write_binary_at` writes for them, must give what `apply` gives over
+/// the items decoded from the tape.
 fn assert_eval_ref_matches_apply(f: Function, arity: usize, a: &Item, b: &Item) {
     let rows = vec![vec![to_bytes(a), to_bytes(b)]];
     let frames = frames_from_rows(&rows, 64 * 1024);
     let t = frames[0].tuple(0);
     let operands = [a.clone(), b.clone()];
     let expected = apply(f, operands[..arity].to_vec()).map_err(|e| e.to_string());
-    let exprs = [
-        RtExpr::Call(f, (0..arity).map(RtExpr::Field).collect()),
-        RtExpr::Call(
-            f,
-            (0..arity)
-                .map(|i| match i {
-                    0 => RtExpr::Field(0),
-                    _ => RtExpr::Const(b.clone()),
-                })
-                .collect(),
-        ),
-        RtExpr::Call(
-            f,
-            (0..arity)
-                .map(|i| match i {
-                    0 => RtExpr::Const(a.clone()),
-                    _ => RtExpr::Field(1),
-                })
-                .collect(),
-        ),
-    ];
-    for e in &exprs {
+    for e in &exprs(f, arity, a, b) {
         let got = e
             .eval_ref(&t, None)
             .and_then(|v| v.into_item())
@@ -191,6 +211,40 @@ fn assert_eval_ref_matches_apply(f: Function, arity: usize, a: &Item, b: &Item) 
             e.eval_ref(&t, None).unwrap().write(&mut out);
             assert_eq!(out, to_bytes(item), "{f:?} bytes over {a:?}, {b:?}");
         }
+    }
+    if !(is_json(a) && is_json(b)) {
+        return;
+    }
+    let text = jdm::text::to_string(&Item::Array(operands.to_vec()));
+    let buf = text.as_bytes();
+    let index = StructuralIndex::build(buf).expect("written JSON parses");
+    let nodes = index.members(index.root());
+    let decoded: Vec<Item> = nodes
+        .iter()
+        .map(|&n| index.item_at(buf, n).unwrap())
+        .collect();
+    let written: Vec<Vec<u8>> = nodes
+        .iter()
+        .map(|&n| {
+            let mut out = Vec::new();
+            index.write_binary_at(buf, n, &mut out).unwrap();
+            out
+        })
+        .collect();
+    let frames = frames_from_rows(&[written], 64 * 1024);
+    let t = frames[0].tuple(0);
+    let expected = apply(f, decoded[..arity].to_vec()).map_err(|e| e.to_string());
+    for e in &exprs(f, arity, &decoded[0], &decoded[1]) {
+        let on_tape = e
+            .eval_view(|i| Ok(TapeView::new(&index, buf, nodes[i])), None)
+            .and_then(|v| v.into_item())
+            .map_err(|e| e.to_string());
+        assert_eq!(on_tape, expected, "{f:?} on the tape of {text} as {e:?}");
+        let on_bytes = e
+            .eval_ref(&t, None)
+            .and_then(|v| v.into_item())
+            .map_err(|e| e.to_string());
+        assert_eq!(on_bytes, expected, "{f:?} on the written {text} as {e:?}");
     }
 }
 
@@ -229,7 +283,7 @@ proptest! {
         let frames = frames_from_rows(&rows, 64 * 1024);
         let t = frames[0].tuple(0);
         let mut out = Vec::new();
-        RtExpr::Canon(Box::new(RtExpr::Field(0)))
+        RtExpr::canon(RtExpr::field(0))
             .eval_ref(&t, None)
             .unwrap()
             .write(&mut out);
@@ -295,7 +349,7 @@ fn eval_ref_edge_cases() {
     let rows = vec![vec![to_bytes(&Item::double(2.0))]];
     let frames = frames_from_rows(&rows, 1024);
     let mut out = Vec::new();
-    RtExpr::Canon(Box::new(RtExpr::Field(0)))
+    RtExpr::canon(RtExpr::field(0))
         .eval_ref(&frames[0].tuple(0), None)
         .unwrap()
         .write(&mut out);
@@ -320,7 +374,7 @@ fn aggregate(func: AggFunc, items: &[Item]) -> Result<Item, String> {
     let rows: Vec<Vec<Vec<u8>>> = items.iter().map(|it| vec![to_bytes(it)]).collect();
     let mut agg = AggFactory {
         func,
-        arg: RtExpr::Field(0),
+        arg: RtExpr::field(0),
     }
     .create();
     let eval_text = |e: DataflowError| match e {

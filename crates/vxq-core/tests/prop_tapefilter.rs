@@ -3,19 +3,19 @@
 //! Records are random JSON text (missing and duplicate keys, escaped keys
 //! and strings, ints, doubles and exponents, nested values, good and bad
 //! dates); filters are random expressions of the grammar
-//! `push-select-into-datascan` copies into the scan. Whenever the filter
-//! decides a record on the tape, `RtExpr::eval_ref` on the bytes the scan
-//! writes for that record must succeed with the same effective boolean
-//! value; in particular a rejected record is one the SELECT drops without
-//! an error. On GHCN records, the filters of the paper's queries decide
-//! every record.
+//! `push-select-into-datascan` copies into the scan. The filter leaves a
+//! record undecided exactly when `RtExpr::eval_ref` on the bytes the scan
+//! writes for that record fails, and otherwise decides it with the same
+//! effective boolean value; in particular a rejected record is one the
+//! SELECT drops without an error. On GHCN records, the filters of the
+//! paper's queries decide every record.
 
 use algebra::expr::{Function, LogicalExpr};
 use algebra::plan::{LogicalOp, VarId};
 use algebra::rules::pipelining::tape_evaluable;
 use algebra::rules::{RuleConfig, RuleSet};
 use dataflow::frame::frames_from_rows;
-use jdm::binary::tag;
+use jdm::binary::{tag, ItemRef};
 use jdm::index::StructuralIndex;
 use jdm::project::project_indexed_nodes;
 use jdm::{Item, ProjectionPath};
@@ -212,19 +212,15 @@ fn arb_filter() -> BoxedStrategy<LogicalExpr> {
 /// The filter as the runtime expression the SELECT evaluates, with the
 /// scan variable in tuple field 0.
 fn rt(e: &LogicalExpr) -> RtExpr {
-    match e {
-        LogicalExpr::Var(_) => RtExpr::Field(0),
-        LogicalExpr::Const(item) => RtExpr::Const(item.clone()),
-        LogicalExpr::Call(f, args) => RtExpr::Call(*f, args.iter().map(rt).collect()),
-    }
+    RtExpr::compile(e, &[VarId(0)], None).expect("the filter reads only the scan variable")
 }
 
-/// Effective boolean value of the bytes an expression evaluated to.
-fn ebv(bytes: &[u8]) -> bool {
-    match bytes.first() {
-        Some(&(tag::FALSE | tag::NULL)) => false,
-        Some(&tag::TRUE) => true,
-        Some(&tag::SEQUENCE) => panic!("a tape-grammar filter evaluated to a sequence"),
+/// Effective boolean value of the item an expression evaluated to, as the
+/// SELECT's `and` reads it: a sequence is its first member's.
+fn ebv(item: ItemRef<'_>) -> bool {
+    match item.tag() {
+        tag::FALSE | tag::NULL => false,
+        tag::SEQUENCE => item.member(0).is_some_and(ebv),
         _ => true,
     }
 }
@@ -238,17 +234,23 @@ fn check(
     node: usize,
 ) -> Option<bool> {
     let verdict = filter.test(index, buf, node);
-    if let Some(keep) = verdict {
-        let mut record = Vec::new();
-        index.write_binary_at(buf, node, &mut record).unwrap();
-        let frames = frames_from_rows(&[vec![record]], 64 * 1024);
-        let tuple = frames[0].tuple(0);
-        let mut out = Vec::new();
-        match rt(expr).eval_ref(&tuple, None) {
-            Ok(v) => v.write(&mut out),
-            Err(e) => panic!("the tape decided {keep} where the SELECT fails: {e}"),
+    let mut record = Vec::new();
+    index.write_binary_at(buf, node, &mut record).unwrap();
+    let frames = frames_from_rows(&[vec![record]], 64 * 1024);
+    let tuple = frames[0].tuple(0);
+    let mut out = Vec::new();
+    match (rt(expr).eval_ref(&tuple, None), verdict) {
+        (Ok(v), Some(keep)) => {
+            v.write(&mut out);
+            assert_eq!(
+                ebv(ItemRef::new(&out).unwrap()),
+                keep,
+                "tape verdict differs from the SELECT"
+            );
         }
-        assert_eq!(ebv(&out), keep, "tape verdict differs from the SELECT");
+        (Err(_), None) => {}
+        (Ok(_), None) => panic!("the tape failed where the SELECT does not"),
+        (Err(e), Some(keep)) => panic!("the tape decided {keep} where the SELECT fails: {e}"),
     }
     verdict
 }
@@ -259,14 +261,14 @@ proptest! {
     #[test]
     fn a_tape_verdict_is_the_selects_verdict(doc in arb_record(), expr in arb_filter()) {
         assert!(tape_evaluable(&expr, VarId(0)), "{expr}");
-        let filter = TapeFilter::compile(&expr, VarId(0)).expect("the grammar compiles");
+        let filter = TapeFilter::compile(&expr, VarId(0)).expect("compiles");
         let index = StructuralIndex::build(doc.as_bytes()).expect("generated JSON parses");
         check(&filter, &expr, &index, doc.as_bytes(), index.root());
     }
 }
 
 /// The property is not vacuous: over the same generator, the tape rejects
-/// and keeps many records and leaves many undecided.
+/// and keeps many records, and evaluating fails on many.
 #[test]
 fn the_generator_reaches_every_verdict() {
     let mut rng = TestRng::for_test("prop_tapefilter::verdicts");
@@ -275,7 +277,7 @@ fn the_generator_reaches_every_verdict() {
     for _ in 0..2000 {
         let doc = records.new_value(&mut rng);
         let expr = filters.new_value(&mut rng);
-        let filter = TapeFilter::compile(&expr, VarId(0)).expect("the grammar compiles");
+        let filter = TapeFilter::compile(&expr, VarId(0)).expect("compiles");
         let index = StructuralIndex::build(doc.as_bytes()).unwrap();
         match check(&filter, &expr, &index, doc.as_bytes(), index.root()) {
             Some(false) => seen[0] += 1,
@@ -285,7 +287,7 @@ fn the_generator_reaches_every_verdict() {
     }
     assert!(
         seen.iter().all(|&n| n >= 100),
-        "reject/keep/undecided: {seen:?}"
+        "reject/keep/error: {seen:?}"
     );
 }
 
@@ -352,7 +354,7 @@ fn the_paper_queries_decide_every_ghcn_record() {
                 total += 1;
                 match check(&filter, &expr, &index, buf, node) {
                     Some(keep) => rejected += usize::from(!keep),
-                    None => panic!("{name}: undecided on {}", {
+                    None => panic!("{name}: fails on {}", {
                         let (s, e) = index.span(node);
                         &doc[s..e]
                     }),

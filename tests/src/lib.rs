@@ -1,5 +1,18 @@
 //! Integration test host crate: shared helpers for the e2e suites.
 
+use std::path::PathBuf;
+
+/// A fresh, empty directory `vxq-<name>-<pid>` under the system temp
+/// dir. The process id keeps concurrent runs of one test binary (two
+/// `cargo test` invocations, or two checkouts) from deleting and
+/// rewriting each other's data.
+pub fn scratch_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("vxq-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
 /// Partitions-per-node used by cluster-shape-sensitive suites. The CI
 /// matrix re-runs the suite with `VXQ_PARTITIONS=4` to cover multi-task
 /// nodes; locally it defaults to `fallback`.

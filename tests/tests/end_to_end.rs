@@ -10,6 +10,7 @@
 use algebra::rules::RuleConfig;
 use dataflow::ClusterSpec;
 use datagen::SensorSpec;
+use integration_tests::scratch_dir;
 use jdm::{DateTime, Item};
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
@@ -20,8 +21,7 @@ use vxq_core::{queries, Engine, EngineConfig};
 fn data_root() -> &'static PathBuf {
     static ROOT: OnceLock<PathBuf> = OnceLock::new();
     ROOT.get_or_init(|| {
-        let dir = std::env::temp_dir().join("vxq-e2e-sensors");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir("e2e-sensors");
         let spec = test_spec();
         spec.generate(&dir.join("sensors"))
             .expect("generate dataset");
@@ -348,8 +348,7 @@ fn pipelining_shrinks_peak_memory() {
 
 #[test]
 fn bookstore_examples_run() {
-    let dir = std::env::temp_dir().join("vxq-e2e-books");
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir("e2e-books");
     let books = datagen::generate_bookstore(&dir.join("books"), 3, 8).unwrap();
     let e = Engine::new(EngineConfig {
         data_root: dir.clone(),
@@ -462,7 +461,7 @@ fn every_system_computes_the_same_q2_answer() {
         AsterixMode::External,
         cluster,
         &root,
-        std::env::temp_dir().join("vxq-e2e-asterix-storage"),
+        scratch_dir("e2e-asterix-storage"),
     );
     asterix.load(&sensors).unwrap();
 
@@ -484,8 +483,7 @@ fn every_system_computes_the_same_q2_answer() {
 #[test]
 fn mixed_numeric_group_keys_group_together() {
     // 1 and 1.0 are JSONiq-equal; byte-level grouping must not split them.
-    let dir = std::env::temp_dir().join("vxq-e2e-mixed-keys");
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir("e2e-mixed-keys");
     let node = dir.join("nums/node0");
     std::fs::create_dir_all(&node).unwrap();
     std::fs::write(

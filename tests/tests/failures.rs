@@ -3,15 +3,9 @@
 
 use dataflow::ClusterSpec;
 use datagen::SensorSpec;
+use integration_tests::scratch_dir;
 use std::path::PathBuf;
 use vxq_core::{queries, Engine, EngineConfig, EngineError};
-
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("vxq-failures-{name}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn engine_at(root: PathBuf) -> Engine {
     Engine::new(EngineConfig {
@@ -27,7 +21,7 @@ fn engine_at(root: PathBuf) -> Engine {
 
 #[test]
 fn syntax_errors_are_parse_errors() {
-    let e = engine_at(scratch("syntax"));
+    let e = engine_at(scratch_dir("failures-syntax"));
     for q in [
         "for $x retur $x",
         "collection(",
@@ -44,7 +38,7 @@ fn syntax_errors_are_parse_errors() {
 
 #[test]
 fn unbound_variables_are_parse_errors() {
-    let e = engine_at(scratch("unbound"));
+    let e = engine_at(scratch_dir("failures-unbound"));
     match e.execute("for $x in $ghost return $x") {
         Err(EngineError::Parse(p)) => assert!(p.msg.contains("unbound"), "{p}"),
         other => panic!("expected unbound-variable error, got {other:?}"),
@@ -53,7 +47,7 @@ fn unbound_variables_are_parse_errors() {
 
 #[test]
 fn missing_collection_is_an_execution_error() {
-    let e = engine_at(scratch("missing"));
+    let e = engine_at(scratch_dir("failures-missing"));
     match e.execute(queries::Q0) {
         Err(EngineError::Execute(err)) => {
             assert!(err.to_string().contains("cannot read"), "{err}");
@@ -64,7 +58,7 @@ fn missing_collection_is_an_execution_error() {
 
 #[test]
 fn malformed_json_file_fails_with_file_name() {
-    let root = scratch("badjson");
+    let root = scratch_dir("failures-badjson");
     let dir = root.join("sensors/node0");
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join("good.json"), br#"{"root": []}"#).unwrap();
@@ -84,7 +78,7 @@ fn malformed_json_file_fails_with_file_name() {
 
 #[test]
 fn malformed_json_fails_under_naive_plans_too() {
-    let root = scratch("badjson-naive");
+    let root = scratch_dir("failures-badjson-naive");
     let dir = root.join("sensors/node0");
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join("broken.json"), b"[1, 2").unwrap();
@@ -101,7 +95,7 @@ fn malformed_json_fails_under_naive_plans_too() {
     // Naive and rewritten plans parse through the same validator, so a
     // file that ends right after an object key fails both with the same
     // error at the same offset.
-    let root = scratch("badjson-key-eof");
+    let root = scratch_dir("failures-badjson-key-eof");
     let dir = root.join("sensors/node0");
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join("broken.json"), br#"{"root": [{"date""#).unwrap();
@@ -124,7 +118,7 @@ fn malformed_json_fails_under_naive_plans_too() {
 
 #[test]
 fn empty_collection_directory_yields_empty_results() {
-    let root = scratch("empty");
+    let root = scratch_dir("failures-empty");
     std::fs::create_dir_all(root.join("sensors/node0")).unwrap();
     let e = engine_at(root);
     let r = e.execute(queries::Q0).unwrap();
@@ -143,7 +137,7 @@ fn empty_collection_directory_yields_empty_results() {
 #[test]
 fn files_with_unexpected_structure_are_tolerated() {
     // Structure mismatches must not crash: projection yields nothing.
-    let root = scratch("weird");
+    let root = scratch_dir("failures-weird");
     let dir = root.join("sensors/node0");
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join("a.json"), br#"{"not_root": [1,2,3]}"#).unwrap();
@@ -158,7 +152,7 @@ fn files_with_unexpected_structure_are_tolerated() {
 fn order_by_on_unsupported_shapes_is_rejected_cleanly() {
     // `order by` inside count(...) FLWOR is unsupported; expect an error,
     // not a panic.
-    let root = scratch("orderby");
+    let root = scratch_dir("failures-orderby");
     let e = engine_at(root);
     let q = r#"
         for $r in collection("/sensors")("root")()
@@ -170,7 +164,7 @@ fn order_by_on_unsupported_shapes_is_rejected_cleanly() {
 
 #[test]
 fn memory_budget_trips_on_naive_plans() {
-    let root = scratch("budget");
+    let root = scratch_dir("failures-budget");
     SensorSpec {
         files_per_node: 2,
         records_per_file: 50,
@@ -203,7 +197,7 @@ fn memory_budget_trips_on_naive_plans() {
 fn naive_scan_frees_its_grants_when_a_later_file_fails() {
     // The naive scan charges each parsed file as it goes; a file failing
     // after them must not leave those grants behind.
-    let root = scratch("naive-leak");
+    let root = scratch_dir("failures-naive-leak");
     let dir = root.join("sensors/node0");
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(
@@ -227,7 +221,7 @@ fn naive_scan_frees_its_grants_when_a_later_file_fails() {
 
 #[test]
 fn deeply_nested_input_does_not_overflow() {
-    let root = scratch("deep");
+    let root = scratch_dir("failures-deep");
     let dir = root.join("sensors/node0");
     std::fs::create_dir_all(&dir).unwrap();
     let mut doc = String::from(r#"{"root": [{"results": ["#);
@@ -263,7 +257,7 @@ fn deeply_nested_binary_item_is_a_typed_error() {
         bytes.extend_from_slice(&0u32.to_le_bytes());
     }
     bytes.push(tag::NULL);
-    let root = scratch("deep-adm");
+    let root = scratch_dir("failures-deep-adm");
     let dir = root.join("deep");
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join("deep.adm"), bytes).unwrap();
@@ -296,7 +290,7 @@ fn aggregate_errors_and_rows_agree_across_rule_configs() {
     // Two node directories, two stations; the only non-number is one
     // `"value": "x"`, so every failing tuple reports the same message
     // whichever partition fails first.
-    let root = scratch("agg-parity");
+    let root = scratch_dir("failures-agg-parity");
     for node in 0..2 {
         let dir = root.join(format!("sensors/node{node}"));
         std::fs::create_dir_all(&dir).unwrap();
@@ -404,7 +398,7 @@ fn aggregate_errors_and_rows_agree_across_rule_configs() {
 fn a_bad_date_fails_the_same_with_and_without_the_scan_filter() {
     use algebra::rules::{RuleConfig, RuleSet};
     const RULE: &str = "push-select-into-datascan";
-    let root = scratch("scan-filter-bad-date");
+    let root = scratch_dir("failures-scan-filter-bad-date");
     for node in 0..2 {
         let dir = root.join(format!("sensors/node{node}"));
         std::fs::create_dir_all(&dir).unwrap();

@@ -9,6 +9,7 @@
 
 use algebra::rules::{RuleConfig, RuleSet};
 use dataflow::ClusterSpec;
+use integration_tests::scratch_dir;
 use jdm::Item;
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -65,8 +66,7 @@ fn record(date: &str, data_type: &str, value: i64) -> String {
 fn data_root() -> &'static PathBuf {
     static ROOT: OnceLock<PathBuf> = OnceLock::new();
     ROOT.get_or_init(|| {
-        let dir = std::env::temp_dir().join("vxq-join-pushdown-sensors");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir("join-pushdown-sensors");
         for file in 0..6i64 {
             let node_dir = dir.join("sensors").join(format!("node{}", file % 2));
             std::fs::create_dir_all(&node_dir).expect("node dir");

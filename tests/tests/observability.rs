@@ -5,6 +5,7 @@
 use algebra::rules::RuleConfig;
 use dataflow::ClusterSpec;
 use datagen::SensorSpec;
+use integration_tests::scratch_dir;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 use vxq_core::{queries, Engine, EngineConfig};
@@ -12,8 +13,7 @@ use vxq_core::{queries, Engine, EngineConfig};
 fn data_root() -> &'static PathBuf {
     static ROOT: OnceLock<PathBuf> = OnceLock::new();
     ROOT.get_or_init(|| {
-        let dir = std::env::temp_dir().join("vxq-observability-sensors");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir("observability-sensors");
         SensorSpec {
             seed: 11,
             nodes: 2,
@@ -181,11 +181,8 @@ fn trace_covers_lifecycle_and_round_trips_as_json() {
 /// partition peak at about one file's load, not eight.
 #[test]
 fn whole_file_loads_are_released_per_file() {
-    let eight = std::env::temp_dir().join("vxq-observability-release-8");
-    let one = std::env::temp_dir().join("vxq-observability-release-1");
-    for root in [&eight, &one] {
-        let _ = std::fs::remove_dir_all(root);
-    }
+    let eight = scratch_dir("observability-release-8");
+    let one = scratch_dir("observability-release-1");
     SensorSpec {
         files_per_node: 8,
         records_per_file: 20,

@@ -9,6 +9,7 @@
 
 use dataflow::{ClusterSpec, SpillConfig};
 use datagen::SensorSpec;
+use integration_tests::scratch_dir;
 use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
@@ -23,8 +24,7 @@ static ENV_LOCK: Mutex<()> = Mutex::new(());
 fn data_root() -> &'static PathBuf {
     static ROOT: OnceLock<PathBuf> = OnceLock::new();
     ROOT.get_or_init(|| {
-        let dir = std::env::temp_dir().join("vxq-service-sensors");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir("service-sensors");
         SensorSpec {
             seed: 97,
             nodes: 2,
@@ -85,14 +85,6 @@ fn canon(rows: &[Vec<jdm::Item>]) -> Vec<String> {
     v
 }
 
-fn spill_scratch(name: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("vxq-service-scratch-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir
-}
-
 fn spill_dirs_left(root: &PathBuf) -> Vec<String> {
     std::fs::read_dir(root)
         .map(|it| {
@@ -128,7 +120,7 @@ fn concurrent_clients_match_serial_results() {
     let st = serial.execute(queries::Q2).expect("probe run").stats;
     let budget = (st.peak_memory.saturating_sub(st.peak_cached) / 2).max(1);
 
-    let scratch = spill_scratch("concurrent");
+    let scratch = scratch_dir("service-scratch-concurrent");
     let service = QueryService::new(
         engine(
             budget,
@@ -205,7 +197,7 @@ fn concurrent_clients_match_serial_results() {
 /// directory.
 #[test]
 fn cancellation_leaks_nothing() {
-    let scratch = spill_scratch("cancel");
+    let scratch = scratch_dir("service-scratch-cancel");
     // A few KiB of budget: the sort spills almost immediately, so the
     // cancel lands mid-spill — the worst case for cleanup.
     let service = QueryService::new(

@@ -9,6 +9,7 @@
 use algebra::rules::RuleConfig;
 use dataflow::{ClusterSpec, SpillConfig};
 use datagen::SensorSpec;
+use integration_tests::scratch_dir;
 use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock};
 use vxq_core::{parse_memory_budget, queries, render_analysis, Engine, EngineConfig};
@@ -20,8 +21,7 @@ static ENV_LOCK: Mutex<()> = Mutex::new(());
 fn data_root() -> &'static PathBuf {
     static ROOT: OnceLock<PathBuf> = OnceLock::new();
     ROOT.get_or_init(|| {
-        let dir = std::env::temp_dir().join("vxq-spill-sensors");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir("spill-sensors");
         SensorSpec {
             seed: 23,
             nodes: 2,
@@ -291,13 +291,6 @@ fn materializing_group_by_flags_budget_exceeded() {
     assert_eq!(e.memory().current(), 0);
 }
 
-fn spill_scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("vxq-spill-scratch-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir
-}
-
 fn spill_dirs_left(root: &PathBuf) -> Vec<String> {
     std::fs::read_dir(root)
         .map(|it| {
@@ -313,7 +306,7 @@ fn spill_dirs_left(root: &PathBuf) -> Vec<String> {
 /// directory.
 #[test]
 fn spill_dir_cleaned_after_success() {
-    let scratch = spill_scratch("ok");
+    let scratch = scratch_dir("spill-scratch-ok");
     let unlimited = engine(0, cluster(1, 1), RuleConfig::all(), SpillConfig::default());
     let budget = squeezed_join_budget(&unlimited, queries::Q2, 4);
     let e = engine(
@@ -350,7 +343,7 @@ fn spill_dir_cleaned_after_query_error() {
     doc.push_str("{\"v\": \"boom\"}]}");
     std::fs::write(data.join("poison").join("part0.json"), doc).expect("poison file");
 
-    let scratch = spill_scratch("err");
+    let scratch = scratch_dir("spill-scratch-err");
     let build = |budget: usize| {
         let _env = ENV_LOCK.lock().expect("env lock");
         Engine::new(EngineConfig {

@@ -10,7 +10,7 @@
 
 use dataflow::ClusterSpec;
 use datagen::SensorSpec;
-use integration_tests::partitions_from_env;
+use integration_tests::{partitions_from_env, scratch_dir};
 use std::path::PathBuf;
 use std::sync::OnceLock;
 use vxq_core::{queries, Engine, EngineConfig, ScanOptions};
@@ -19,8 +19,7 @@ use vxq_core::{queries, Engine, EngineConfig, ScanOptions};
 fn data_root() -> &'static PathBuf {
     static ROOT: OnceLock<PathBuf> = OnceLock::new();
     ROOT.get_or_init(|| {
-        let dir = std::env::temp_dir().join("vxq-splits-sensors");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir("splits-sensors");
         SensorSpec {
             seed: 23,
             nodes: 1,
