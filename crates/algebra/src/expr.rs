@@ -56,6 +56,12 @@ pub enum Function {
     Avg,
     Min,
     Max,
+    /// `combine-side-partials(agg, op, a, b)`: what the pairs of one join
+    /// key add to `agg` (`"avg"`, `"sum"` or `"count"`) of `op`
+    /// (`"subtract"` or `"add"`) applied to every pair of a value of side
+    /// partial `a` and a value of side partial `b` (see
+    /// `push-aggregate-below-join`).
+    CombineSidePartials,
 }
 
 impl Function {
@@ -94,6 +100,7 @@ impl Function {
             Avg => "avg",
             Min => "min",
             Max => "max",
+            CombineSidePartials => "combine-side-partials",
         }
     }
 
@@ -125,14 +132,23 @@ pub enum AggFunc {
     Max,
     /// Merge partial counts (two-step aggregation, global side).
     MergeCount,
-    /// Produce an `{sum, count}` partial for avg (two-step, local side).
+    /// Produce a `[sum, count]` partial for avg (two-step, local side).
     PartialAvg,
-    /// Merge `{sum, count}` partials into a final avg (global side).
+    /// Merge `[sum, count]` partials into a final avg (global side).
     MergeAvg,
+    /// Merge `[sum, count]` partials into one `[sum, count]` (the local
+    /// side of a two-step `merge-avg`).
+    PartialMergeAvg,
     /// Merge partial sums / mins / maxes.
     MergeSum,
     MergeMin,
     MergeMax,
+    /// Fold one join side's term per join key (`push-aggregate-below-join`):
+    /// the count and sum of its numbers, plus its first value and its
+    /// first non-number, which carry the error the pairs would raise.
+    /// Each partition folds its own partial; the join and the combine
+    /// above it merge them.
+    SidePartial,
 }
 
 impl AggFunc {
@@ -148,14 +164,17 @@ impl AggFunc {
             MergeCount => "merge-count",
             PartialAvg => "partial-avg",
             MergeAvg => "merge-avg",
+            PartialMergeAvg => "partial-merge-avg",
             MergeSum => "merge-sum",
             MergeMin => "merge-min",
             MergeMax => "merge-max",
+            SidePartial => "side-partial",
         }
     }
 
     /// The (local, global) pair implementing this aggregate in two steps,
-    /// or `None` when it cannot be split (Sequence).
+    /// or `None` when it cannot be split (Sequence). A merge of partials
+    /// splits too: each partition merges its own, and one merges those.
     pub fn two_step(self) -> Option<(AggFunc, AggFunc)> {
         use AggFunc::*;
         match self {
@@ -164,6 +183,8 @@ impl AggFunc {
             Avg => Some((PartialAvg, MergeAvg)),
             Min => Some((Min, MergeMin)),
             Max => Some((Max, MergeMax)),
+            MergeCount | MergeSum | MergeMin | MergeMax => Some((self, self)),
+            MergeAvg => Some((PartialMergeAvg, MergeAvg)),
             _ => None,
         }
     }
@@ -347,6 +368,14 @@ mod tests {
         assert_eq!(
             AggFunc::Avg.two_step(),
             Some((AggFunc::PartialAvg, AggFunc::MergeAvg))
+        );
+        assert_eq!(
+            AggFunc::MergeSum.two_step(),
+            Some((AggFunc::MergeSum, AggFunc::MergeSum))
+        );
+        assert_eq!(
+            AggFunc::MergeAvg.two_step(),
+            Some((AggFunc::PartialMergeAvg, AggFunc::MergeAvg))
         );
         assert_eq!(AggFunc::Sequence.two_step(), None);
     }

@@ -39,7 +39,7 @@ impl Rule for RemoveDeadAssign {
 pub struct PushSelectIntoJoin;
 
 /// All variables produced anywhere in a subtree.
-fn vars_produced(op: &LogicalOp) -> HashSet<VarId> {
+pub(crate) fn vars_produced(op: &LogicalOp) -> HashSet<VarId> {
     let mut out = HashSet::new();
     op.visit(&mut |o| out.extend(o.produced_vars()));
     out
@@ -188,7 +188,7 @@ pub(crate) fn error_free(e: &LogicalExpr) -> bool {
 
 /// The one side (0 = left, 1 = right) whose variables are all `e` reads;
 /// `None` for expressions reading no variable or both sides.
-fn one_side(e: &LogicalExpr, sides: &[HashSet<VarId>; 2]) -> Option<usize> {
+pub(crate) fn one_side(e: &LogicalExpr, sides: &[HashSet<VarId>; 2]) -> Option<usize> {
     let mut vars = Vec::new();
     e.collect_vars(&mut vars);
     if vars.is_empty() {

@@ -4,9 +4,11 @@
 //! "the count function computed at the same time that each group is
 //! formed (without creating any sequences)".
 
+use super::base::{error_free, one_side, vars_produced};
 use super::{take_op, transform_bottom_up, var_use_counts, Rule};
 use crate::expr::{AggFunc, Function, LogicalExpr};
 use crate::plan::{LogicalOp, LogicalPlan, VarGen, VarId};
+use jdm::Item;
 use std::collections::HashSet;
 
 /// Remove `ASSIGN $t := treat($s, item)` above a GROUP-BY whose aggregate
@@ -234,6 +236,183 @@ impl Rule for PushSubplanAggregateIntoGroupBy {
     }
 }
 
+/// Aggregate each side of an equi-join per join key before the join: Yan
+/// and Larson's eager aggregation ("Eager Aggregation and Lazy
+/// Aggregation", VLDB 1995), one step past the paper's group-by rules.
+/// Not one of the paper's rules: it runs only with
+/// [`super::RuleConfig::beyond_paper`].
+///
+/// It fires on `AGGREGATE $a := f($t)` with `f` one of `avg`, `sum` and
+/// `count`, over `ASSIGN $t := op(x, m)` with `op` one of `subtract` and
+/// `add`, directly over a JOIN whose condition is a conjunction of
+/// equalities between the two sides. `x` and `m` must each read one side
+/// only, different sides, and be error-free (`base::error_free`): they
+/// now also run on tuples that find no partner. Each side gets a
+/// GROUP-BY on its join keys that folds its term into a `side-partial`:
+/// the count and sum of the term's numbers, plus its first value and
+/// first non-number. A term bound by an ASSIGN on top of its side, and
+/// read nowhere else, is folded from that ASSIGN's expression, and the
+/// ASSIGN goes. The join then matches a row per key instead of one per
+/// pair; the ASSIGN above it goes, and the AGGREGATE becomes the
+/// matching `merge-*` fold of `combine-side-partials`, which turns two
+/// partials of a key into what their pairs add to `f`: `c_m·Σx − c_x·Σm`
+/// to the sum (`+` for `add`) and `c_m·c_x` to the count. It raises the
+/// error one failing pair would raise: a non-number on a key with no
+/// partner raises nothing.
+///
+/// GROUP-BY and join keys canonicalize alike, so a group meets exactly
+/// the rows of the other side its members would have met.
+///
+/// The rule pays where keys repeat. Each side's GROUP-BY runs as a
+/// partial group-by (`dataflow::ops::HashGroupByOp::partial`): it passes
+/// tuples through as one-tuple partials, which the join and the combine
+/// merge like any others, until it sees keys repeat, and only then
+/// groups.
+pub struct PushAggregateBelowJoin;
+
+/// The join keys of `cond` as `[left, right]` expression pairs, when
+/// every conjunct (the translator's `true` placeholder aside) equates an
+/// expression over one side with one over the other.
+fn equi_keys(cond: &LogicalExpr, sides: &[HashSet<VarId>; 2]) -> Option<Vec<[LogicalExpr; 2]>> {
+    let mut keys = Vec::new();
+    for c in cond.conjuncts() {
+        if matches!(c, LogicalExpr::Const(Item::Boolean(true))) {
+            continue;
+        }
+        let LogicalExpr::Call(Function::Eq, args) = c else {
+            return None;
+        };
+        let [a, b] = args.as_slice() else {
+            return None;
+        };
+        match (one_side(a, sides)?, one_side(b, sides)?) {
+            (0, 1) => keys.push([a.clone(), b.clone()]),
+            (1, 0) => keys.push([b.clone(), a.clone()]),
+            _ => return None,
+        }
+    }
+    (!keys.is_empty()).then_some(keys)
+}
+
+impl Rule for PushAggregateBelowJoin {
+    fn name(&self) -> &'static str {
+        "push-aggregate-below-join"
+    }
+
+    fn apply(&self, plan: &mut LogicalPlan) -> bool {
+        let counts = var_use_counts(&plan.root);
+        let mut gen = VarGen::above(&plan.root);
+        transform_bottom_up(&mut plan.root, &mut |op| {
+            let LogicalOp::Aggregate {
+                func, arg, input, ..
+            } = op
+            else {
+                return false;
+            };
+            let LogicalExpr::Var(t) = arg else {
+                return false;
+            };
+            let merge = match func {
+                AggFunc::Avg => AggFunc::MergeAvg,
+                AggFunc::Sum => AggFunc::MergeSum,
+                AggFunc::Count => AggFunc::MergeCount,
+                _ => return false,
+            };
+            if counts.get(t).copied().unwrap_or(0) != 1 {
+                return false;
+            }
+            let LogicalOp::Assign {
+                var,
+                expr,
+                input: below,
+            } = input.as_mut()
+            else {
+                return false;
+            };
+            let LogicalExpr::Call(arith @ (Function::Sub | Function::Add), terms) = expr else {
+                return false;
+            };
+            let [first, second] = terms.as_slice() else {
+                return false;
+            };
+            let LogicalOp::Join { cond, left, right } = below.as_mut() else {
+                return false;
+            };
+            if var != t {
+                return false;
+            }
+            let sides = [vars_produced(left), vars_produced(right)];
+            let Some(keys) = equi_keys(cond, &sides) else {
+                return false;
+            };
+            let (Some(s1), Some(s2)) = (one_side(first, &sides), one_side(second, &sides)) else {
+                return false;
+            };
+            if s1 == s2 || !error_free(first) || !error_free(second) {
+                return false;
+            }
+
+            let mut term = [first.clone(), second.clone()];
+            if s1 == 1 {
+                term.swap(0, 1);
+            }
+            let partial = [gen.fresh(), gen.fresh()];
+            let key_vars: Vec<[VarId; 2]> =
+                keys.iter().map(|_| [gen.fresh(), gen.fresh()]).collect();
+            for (side, (slot, term)) in [left, right].into_iter().zip(term).enumerate() {
+                // A term bound by an ASSIGN on top of its side, and read
+                // only here, folds that ASSIGN's expression in place.
+                let (term, input) = match (term, take_op(slot)) {
+                    (LogicalExpr::Var(v), LogicalOp::Assign { var, expr, input })
+                        if var == v && counts.get(&v) == Some(&1) =>
+                    {
+                        (expr, *input)
+                    }
+                    (term, input) => (term, input),
+                };
+                **slot = LogicalOp::GroupBy {
+                    keys: keys
+                        .iter()
+                        .zip(&key_vars)
+                        .map(|(k, v)| (v[side], k[side].clone()))
+                        .collect(),
+                    nested: Box::new(LogicalOp::Aggregate {
+                        var: partial[side],
+                        func: AggFunc::SidePartial,
+                        arg: term,
+                        input: Box::new(LogicalOp::NestedTupleSource),
+                    }),
+                    input: Box::new(input),
+                };
+            }
+            *cond = LogicalExpr::conjoin(
+                key_vars
+                    .iter()
+                    .map(|[l, r]| {
+                        LogicalExpr::call(
+                            Function::Eq,
+                            vec![LogicalExpr::Var(*l), LogicalExpr::Var(*r)],
+                        )
+                    })
+                    .collect(),
+            );
+            let combine = LogicalExpr::call(
+                Function::CombineSidePartials,
+                vec![
+                    LogicalExpr::Const(Item::str(func.name())),
+                    LogicalExpr::Const(Item::str(arith.name())),
+                    LogicalExpr::Var(partial[s1]),
+                    LogicalExpr::Var(partial[s2]),
+                ],
+            );
+            **input = take_op(below);
+            *arg = combine;
+            *func = merge;
+            true
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,6 +521,92 @@ mod tests {
         let mut q1b = plan.clone();
         assert!(PushSubplanAggregateIntoGroupBy.apply(&mut q1b));
         assert!(!ConvertScalarAggregateToSubplan.apply(&mut q1b));
+    }
+
+    /// `AGGREGATE $a := func($t)` over `ASSIGN $t := op($1, $0)` over an
+    /// equi-join of a left side producing `$0` and a right side
+    /// producing `$1`.
+    fn aggregate_over_join(func: AggFunc, op: Function) -> LogicalPlan {
+        let side = |v: u32| LogicalOp::Assign {
+            var: VarId(v),
+            expr: LogicalExpr::Const(Item::int(v as i64)),
+            input: Box::new(LogicalOp::EmptyTupleSource),
+        };
+        let join = LogicalOp::Join {
+            cond: LogicalExpr::call(
+                Function::Eq,
+                vec![LogicalExpr::Var(VarId(0)), LogicalExpr::Var(VarId(1))],
+            ),
+            left: Box::new(side(0)),
+            right: Box::new(side(1)),
+        };
+        let assign = LogicalOp::Assign {
+            var: VarId(2),
+            expr: LogicalExpr::call(
+                op,
+                vec![LogicalExpr::Var(VarId(1)), LogicalExpr::Var(VarId(0))],
+            ),
+            input: Box::new(join),
+        };
+        LogicalPlan::new(LogicalOp::Distribute {
+            exprs: vec![LogicalExpr::Var(VarId(3))],
+            input: Box::new(LogicalOp::Aggregate {
+                var: VarId(3),
+                func,
+                arg: LogicalExpr::Var(VarId(2)),
+                input: Box::new(assign),
+            }),
+        })
+    }
+
+    #[test]
+    fn aggregate_moves_below_the_join() {
+        let mut plan = aggregate_over_join(AggFunc::Sum, Function::Sub);
+        assert!(PushAggregateBelowJoin.apply(&mut plan));
+        let expected = [
+            "distribute [$3]",
+            r#"  aggregate $3 := merge-sum(combine-side-partials("sum", "subtract", $5, $4))"#,
+            "    join eq($6, $7)",
+            "      group-by [$6 := $0] {",
+            "        aggregate $4 := side-partial($0)",
+            "          nested-tuple-source",
+            "      }",
+            "        assign $0 := 0",
+            "          empty-tuple-source",
+            "      group-by [$7 := $1] {",
+            "        aggregate $5 := side-partial($1)",
+            "          nested-tuple-source",
+            "      }",
+            "        assign $1 := 1",
+            "          empty-tuple-source",
+            "",
+        ];
+        assert_eq!(plan.explain(), expected.join("\n"));
+        assert!(!PushAggregateBelowJoin.apply(&mut plan));
+    }
+
+    #[test]
+    fn only_linear_aggregates_move_below_the_join() {
+        for (func, op) in [
+            (AggFunc::Min, Function::Sub),
+            (AggFunc::Max, Function::Add),
+            (AggFunc::Sum, Function::Mul),
+        ] {
+            let mut plan = aggregate_over_join(func, op);
+            assert!(
+                !PushAggregateBelowJoin.apply(&mut plan),
+                "{}",
+                plan.explain()
+            );
+        }
+        for func in [AggFunc::Avg, AggFunc::Count] {
+            let mut plan = aggregate_over_join(func, Function::Add);
+            assert!(
+                PushAggregateBelowJoin.apply(&mut plan),
+                "{}",
+                plan.explain()
+            );
+        }
     }
 
     #[test]

@@ -10,18 +10,22 @@
 //! |---|---|
 //! | base (always on) | [`base::RemoveDeadAssign`], [`base::PushSelectIntoJoin`], [`base::PushSideExpressionsBelowJoin`] |
 //! | path expression | [`path::EliminatePromoteData`], [`path::MergeKeysOrMembersIntoUnnest`] |
-//! | pipelining | [`pipelining::IntroduceDataScan`], [`pipelining::PushValueIntoDataScan`], [`pipelining::PushKeysOrMembersIntoDataScan`], [`pipelining::PushIterateValueChainIntoDataScan`], [`pipelining::PushSelectIntoDataScan`] (only with [`RuleConfig::select_into_scan`]) |
-//! | group-by | [`groupby::RemoveTreat`], [`groupby::ConvertScalarAggregateToSubplan`], [`groupby::PushSubplanAggregateIntoGroupBy`] |
+//! | pipelining | [`pipelining::IntroduceDataScan`], [`pipelining::PushValueIntoDataScan`], [`pipelining::PushKeysOrMembersIntoDataScan`], [`pipelining::PushIterateValueChainIntoDataScan`], [`pipelining::PushSelectIntoDataScan`] (only with [`RuleConfig::beyond_paper`]) |
+//! | group-by | [`groupby::RemoveTreat`], [`groupby::ConvertScalarAggregateToSubplan`], [`groupby::PushSubplanAggregateIntoGroupBy`], [`groupby::PushAggregateBelowJoin`] (only with [`RuleConfig::beyond_paper`]) |
 //!
 //! Two-step aggregation (the rule "introduced in \[17\]" that the group-by
 //! family activates) is a physical-planning decision; [`RuleConfig`]
 //! carries the flag and the job compiler honours it.
 //!
-//! `push-select-into-datascan` is not one of the paper's rules: it gives
-//! the DATASCAN a reject-only copy of the SELECT above it, tested on the
-//! raw record before the record is written (Sparser-style raw filtering).
-//! Like two-step aggregation it has its own flag, on only in
-//! [`RuleConfig::all`]; the paper's figures run [`RuleConfig::paper`].
+//! Two rules are not the paper's, and share one flag,
+//! [`RuleConfig::beyond_paper`], on only in [`RuleConfig::all`]; the
+//! paper's figures run [`RuleConfig::paper`], which turns it off:
+//! `push-select-into-datascan` gives the DATASCAN a reject-only copy of
+//! the SELECT above it, tested on the raw record before the record is
+//! written (Sparser-style raw filtering); `push-aggregate-below-join`
+//! aggregates each side of an equi-join per join key before the join
+//! (Yan and Larson's eager aggregation). An ablation switches one of them
+//! by name with [`RuleSet::without`].
 
 pub mod base;
 pub mod groupby;
@@ -51,10 +55,12 @@ pub struct RuleConfig {
     pub group_by_rules: bool,
     /// Two-step (local/global) aggregation at the physical level.
     pub two_step_aggregation: bool,
-    /// Copy SELECT conjuncts into the DATASCAN as a reject-only tape
-    /// filter (`push-select-into-datascan`; needs the pipelining rules,
-    /// which introduce the DATASCAN).
-    pub select_into_scan: bool,
+    /// The rules beyond the paper: copy SELECT conjuncts into the
+    /// DATASCAN as a reject-only tape filter (`push-select-into-datascan`;
+    /// needs the pipelining rules, which introduce the DATASCAN), and
+    /// aggregate each join side before the join
+    /// (`push-aggregate-below-join`; needs the group-by rules).
+    pub beyond_paper: bool,
 }
 
 impl Default for RuleConfig {
@@ -71,15 +77,16 @@ impl RuleConfig {
             pipelining_rules: true,
             group_by_rules: true,
             two_step_aggregation: true,
-            select_into_scan: true,
+            beyond_paper: true,
         }
     }
 
-    /// Every rule of the paper, without the scan filter, which the paper
-    /// does not have: the "after all rules" plans of Figs. 15 and 16.
+    /// Every rule of the paper, without the two the paper does not have
+    /// (the scan filter and eager aggregation): the "after all rules"
+    /// plans of Figs. 15 and 16.
     pub fn paper() -> Self {
         RuleConfig {
-            select_into_scan: false,
+            beyond_paper: false,
             ..RuleConfig::all()
         }
     }
@@ -91,7 +98,7 @@ impl RuleConfig {
             pipelining_rules: false,
             group_by_rules: false,
             two_step_aggregation: false,
-            select_into_scan: false,
+            beyond_paper: false,
         }
     }
 
@@ -143,7 +150,7 @@ impl RuleSet {
             rules.push(Box::<pipelining::PushValueIntoDataScan>::default());
             rules.push(Box::<pipelining::PushKeysOrMembersIntoDataScan>::default());
             rules.push(Box::new(pipelining::PushIterateValueChainIntoDataScan));
-            if config.select_into_scan {
+            if config.beyond_paper {
                 rules.push(Box::new(pipelining::PushSelectIntoDataScan));
             }
         }
@@ -151,6 +158,9 @@ impl RuleSet {
             rules.push(Box::new(groupby::RemoveTreat));
             rules.push(Box::new(groupby::ConvertScalarAggregateToSubplan));
             rules.push(Box::new(groupby::PushSubplanAggregateIntoGroupBy));
+            if config.beyond_paper {
+                rules.push(Box::new(groupby::PushAggregateBelowJoin));
+            }
         }
         RuleSet { rules }
     }

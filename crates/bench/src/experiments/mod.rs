@@ -21,6 +21,7 @@
 //! | table4 | MongoDB load times | [`compare_cluster::table4`] |
 //! | ablation-twostep | (beyond the paper) two-step aggregation | [`ablation::two_step`] |
 //! | ablation-scanfilter | (beyond the paper) DATASCAN tape filter off/on | [`ablation::scan_filter`] |
+//! | ablation-eager | (beyond the paper) eager aggregation below the join off/on | [`ablation::eager_aggregation`] |
 //! | ablation-frames | (beyond the paper) frame-size sweep | [`ablation::frame_size`] |
 //! | ablation-memory | (beyond the paper) peak memory per rule config | [`ablation::memory_by_config`] |
 //! | splits-scan | (beyond the paper) intra-file split scanning | [`splits::splits`] |
@@ -64,6 +65,7 @@ pub const EXPERIMENTS: &[(&str, ExperimentFn)] = &[
     ("table4", compare_cluster::table4),
     ("ablation-twostep", ablation::two_step),
     ("ablation-scanfilter", ablation::scan_filter),
+    ("ablation-eager", ablation::eager_aggregation),
     ("ablation-frames", ablation::frame_size),
     ("ablation-memory", ablation::memory_by_config),
     ("splits-scan", splits::splits),

@@ -14,7 +14,7 @@
 pub mod experiments;
 pub mod metrics;
 
-use algebra::rules::RuleConfig;
+use algebra::rules::{RuleConfig, RuleSet};
 use baselines::{BenchQuery, QuerySystem, VxQuerySystem};
 use dataflow::ClusterSpec;
 use datagen::SensorSpec;
@@ -102,6 +102,25 @@ impl Harness {
         rules: RuleConfig,
     ) -> Engine {
         self.engine_with_scan(root, cluster, rules, vxq_core::ScanOptions::default())
+    }
+
+    /// Build a VXQuery engine running a hand-picked rule set (an ablation
+    /// switches one rule off by name with [`RuleSet::without`]).
+    pub fn engine_with_rules(
+        &self,
+        root: &std::path::Path,
+        cluster: ClusterSpec,
+        rules: RuleSet,
+    ) -> Engine {
+        Engine::with_rule_set(
+            EngineConfig {
+                cluster,
+                data_root: root.to_path_buf(),
+                memory_budget: 0,
+                ..EngineConfig::default()
+            },
+            rules,
+        )
     }
 
     /// Build a VXQuery engine with explicit DATASCAN split options (the

@@ -19,6 +19,9 @@
 //!   recursively (with level-seeded hashes) after the in-memory groups are
 //!   emitted. This stays correct for any [`Aggregator`], since every
 //!   group's tuples end up stepped into exactly one aggregator instance.
+//!   A *partial* hash group-by ([`HashGroupByOp::partial`]) feeds a
+//!   consumer that merges several rows of one key, so it groups only
+//!   once its input shows that keys repeat.
 
 use super::eval::{Aggregator, AggregatorFactory};
 use super::{BoxWriter, FrameWriter, OutBuffer};
@@ -26,12 +29,35 @@ use crate::error::{DataflowError, Result};
 use crate::frame::{Frame, TupleRef};
 use crate::spill::{part_hash, MemGrant, RunReader, RunToken, RunWriter, SpillHandle};
 use jdm::binary::{item_len, write_sequence_from_parts};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::Hasher;
 use std::sync::Arc;
 
 /// Per-group bookkeeping overhead charged to the memory grant on top of
 /// the key bytes (hash-table slot, aggregator state estimate).
 const GROUP_OVERHEAD: usize = 64;
+
+/// The most input tuples a partial group-by passes through while it
+/// watches for repeated keys.
+const SAMPLE_TUPLES: usize = 512;
+
+/// Slots of a partial group-by's table of recent key hashes.
+const RECENT_SLOTS: usize = 1024;
+
+/// Where a partial group-by stands (see [`HashGroupByOp::partial`]).
+#[derive(Debug)]
+enum Partial {
+    /// Passing tuples through while watching: `seen` tuples so far,
+    /// `repeats` of them matched a remembered hash in `recent`.
+    Watching {
+        seen: usize,
+        repeats: usize,
+        recent: Box<[u64]>,
+    },
+    /// Keys did not repeat in the sample: every tuple passes through.
+    PassThrough,
+}
 
 /// Concatenated serialized key items, splittable via `item_len`.
 type GroupKey = Box<[u8]>;
@@ -76,6 +102,8 @@ pub struct HashGroupByOp {
     spill: SpillHandle,
     /// Level-1 partition writers, present once the table is frozen.
     parts: Option<Vec<RunWriter>>,
+    /// Set on a partial group-by.
+    partial: Option<Partial>,
     out: OutBuffer,
 }
 
@@ -94,8 +122,107 @@ impl HashGroupByOp {
             grant: spill.grant(),
             spill,
             parts: None,
+            partial: None,
             out: OutBuffer::new(frame_size, out),
         }
+    }
+
+    /// Make this a partial group-by: its consumer merges any number of
+    /// rows of one key (as a join pairs every partial of one side with
+    /// every partial of the other), so a key may leave in several rows.
+    /// A hash table pays only where keys repeat, so a partial group-by
+    /// starts by passing each tuple through as a one-tuple group, while
+    /// it remembers the hashes of recent keys (a direct-mapped table of
+    /// 1,024). Once at least one tuple in 16 has repeated a remembered
+    /// key, checked at 64, 128, 256 and 512 tuples, it groups every
+    /// later tuple as an ordinary group-by does; past 512 tuples without
+    /// that, it passes the rest through too.
+    pub fn partial(mut self) -> Self {
+        self.partial = Some(Partial::Watching {
+            seen: 0,
+            repeats: 0,
+            recent: vec![0; RECENT_SLOTS].into_boxed_slice(),
+        });
+        self
+    }
+
+    /// Step `t` into its group, creating the group (or, once the table
+    /// is frozen, spilling the tuple) if its key is new.
+    #[inline]
+    fn group(&mut self, t: &TupleRef<'_>) -> Result<()> {
+        let key = extract_key(t, &self.key_fields);
+        // Frozen or not, tuples of already-seen keys aggregate in
+        // place — only *new* groups cost memory.
+        if let Some(agg) = self.groups.get_mut(&key) {
+            return agg.step(t);
+        }
+        if self.parts.is_none() {
+            let cost = key.len() + GROUP_OVERHEAD;
+            if self.grant.try_grow(cost) {
+                let mut agg = self.factory.create();
+                agg.step(t)?;
+                self.groups.insert(key, agg);
+                return Ok(());
+            }
+            // Freeze the table; unseen keys go to disk from here on.
+            self.spill.note_recursion(1);
+            self.parts = Some(Self::open_parts(&self.spill)?);
+        }
+        let parts = self.parts.as_mut().expect("frozen table has parts");
+        let dst = (part_hash(&key, 1) % parts.len() as u64) as usize;
+        parts[dst].push(&[t.bytes()])
+    }
+
+    /// A partial group-by's frame: pass tuples through while watching
+    /// for repeated keys, then group or keep passing them through.
+    fn next_frame_partial(&mut self, frame: &Frame) -> Result<()> {
+        let mut result = Vec::new();
+        for t in frame.tuples() {
+            match &mut self.partial {
+                Some(Partial::Watching {
+                    seen,
+                    repeats,
+                    recent,
+                }) => {
+                    let mut h = DefaultHasher::new();
+                    for &i in &self.key_fields {
+                        h.write(t.field(i));
+                    }
+                    let h = h.finish();
+                    let slot = &mut recent[(h % RECENT_SLOTS as u64) as usize];
+                    if *slot == h {
+                        *repeats += 1;
+                    } else {
+                        *slot = h;
+                    }
+                    *seen += 1;
+                    let (seen, repeats) = (*seen, *repeats);
+                    if seen.is_power_of_two() && seen >= 64 {
+                        if repeats * 16 >= seen {
+                            // Keys repeat: an ordinary group-by from here on.
+                            self.partial = None;
+                        } else if seen == SAMPLE_TUPLES {
+                            self.partial = Some(Partial::PassThrough);
+                        }
+                    }
+                    self.pass(&t, &mut result)?;
+                }
+                Some(Partial::PassThrough) => self.pass(&t, &mut result)?,
+                None => self.group(&t)?,
+            }
+        }
+        Ok(())
+    }
+
+    /// Emit `t` as a group of its own.
+    fn pass(&mut self, t: &TupleRef<'_>, result: &mut Vec<u8>) -> Result<()> {
+        let mut agg = self.factory.create();
+        agg.step(t)?;
+        result.clear();
+        agg.finish(result)?;
+        let mut fields: Vec<&[u8]> = self.key_fields.iter().map(|&i| t.field(i)).collect();
+        fields.push(result);
+        self.out.push_fields(&fields)
     }
 
     fn open_parts(spill: &SpillHandle) -> Result<Vec<RunWriter>> {
@@ -194,29 +321,11 @@ impl FrameWriter for HashGroupByOp {
     }
 
     fn next_frame(&mut self, frame: &Frame) -> Result<()> {
+        if self.partial.is_some() {
+            return self.next_frame_partial(frame);
+        }
         for t in frame.tuples() {
-            let key = extract_key(&t, &self.key_fields);
-            // Frozen or not, tuples of already-seen keys aggregate in
-            // place — only *new* groups cost memory.
-            if let Some(agg) = self.groups.get_mut(&key) {
-                agg.step(&t)?;
-                continue;
-            }
-            if self.parts.is_none() {
-                let cost = key.len() + GROUP_OVERHEAD;
-                if self.grant.try_grow(cost) {
-                    let mut agg = self.factory.create();
-                    agg.step(&t)?;
-                    self.groups.insert(key, agg);
-                    continue;
-                }
-                // Freeze the table; unseen keys go to disk from here on.
-                self.spill.note_recursion(1);
-                self.parts = Some(Self::open_parts(&self.spill)?);
-            }
-            let parts = self.parts.as_mut().expect("frozen table has parts");
-            let dst = (part_hash(&key, 1) % parts.len() as u64) as usize;
-            parts[dst].push(&[t.bytes()])?;
+            self.group(&t)?;
         }
         Ok(())
     }
@@ -502,6 +611,70 @@ mod tests {
         got.sort_by(|a, b| a[1].total_cmp(&b[1]));
         assert_eq!(got[0], vec![Item::str("s"), Item::int(1), Item::int(2)]);
         assert_eq!(got[1], vec![Item::str("s"), Item::int(2), Item::int(1)]);
+    }
+
+    /// Counts per key of `rows`, merging the rows of a key.
+    fn merged_counts(rows: Vec<Vec<Item>>) -> Vec<(String, i64)> {
+        let mut counts = std::collections::BTreeMap::new();
+        for r in rows {
+            let key = r[0].as_str().expect("string key").to_string();
+            *counts.entry(key).or_insert(0) += r[1].as_number().and_then(|n| n.as_i64()).unwrap();
+        }
+        counts.into_iter().collect()
+    }
+
+    /// Group `rows` by field 0, counting; partial or not.
+    fn count_rows(rows: &[Vec<Item>], partial: bool) -> Vec<Vec<Item>> {
+        let cap = CaptureWriter::new();
+        let op = HashGroupByOp::new(
+            vec![0],
+            Arc::new(CountFactory),
+            SpillCtx::unlimited().handle("HASH-GROUP-BY", 0, 0),
+            4096,
+            Box::new(cap.clone()),
+        );
+        let mut op = if partial { op.partial() } else { op };
+        feed(&mut op, rows);
+        cap.take()
+    }
+
+    fn keyed(keys: impl Iterator<Item = u64>) -> Vec<Vec<Item>> {
+        keys.map(|k| vec![Item::str(format!("key-{k:05}")), Item::int(1)])
+            .collect()
+    }
+
+    #[test]
+    fn partial_group_by_passes_unique_keys_through() {
+        // 2,000 keys, then 500 tuples repeating 100 of them: the first
+        // 512 tuples show no repeat, so nothing is grouped.
+        let rows = keyed((0..2000u64).chain((0..500).map(|i| i % 100)));
+        let grouped = count_rows(&rows, false);
+        assert_eq!(grouped.len(), 2000);
+        let partial = count_rows(&rows, true);
+        assert_eq!(partial.len(), rows.len(), "one row per tuple");
+        assert_eq!(merged_counts(partial), merged_counts(grouped));
+    }
+
+    #[test]
+    fn partial_group_by_groups_once_keys_repeat() {
+        // One tuple in eight repeats a key, more than the one in 16 the
+        // check wants: after 64 tuples passed through, the rest group.
+        let rows = keyed((0..3000u64).map(|i| if i % 8 == 7 { i / 8 } else { i }));
+        let grouped = count_rows(&rows, false);
+        let partial = count_rows(&rows, true);
+        let later: std::collections::HashSet<String> = rows[64..]
+            .iter()
+            .map(|r| r[0].as_str().unwrap().to_string())
+            .collect();
+        assert_eq!(
+            partial.len(),
+            64 + later.len(),
+            "64 rows, then a group per key"
+        );
+        assert_eq!(merged_counts(partial), merged_counts(grouped));
+        // Few keys, many repeats: grouped after 64 tuples.
+        let rows = keyed((0..3000u64).map(|i| i % 10));
+        assert_eq!(count_rows(&rows, true).len(), 64 + 10);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!
 //! Errors raised while evaluating are [`EngineError::Runtime`].
 
-use crate::aggs::Fold;
+use crate::aggs::{combine_side_partials, Fold};
 use crate::error::{EngineError, Result};
 use algebra::expr::{AggFunc, Function, LogicalExpr};
 use algebra::plan::VarId;
@@ -67,6 +67,21 @@ impl<'a> View<'a> for ItemRef<'a> {
     }
     fn to_item(&self) -> jdm::Result<Item> {
         ItemRef::to_item(self)
+    }
+}
+
+impl<'a> View<'a> for &'a Item {
+    fn atom(&self) -> Option<Atom<'a>> {
+        item_atom(self)
+    }
+    fn get_key(&self, key: &str) -> Option<Self> {
+        Item::get_key(self, key)
+    }
+    fn member(&self, i: usize) -> Option<Self> {
+        self.get_index(i)
+    }
+    fn to_item(&self) -> jdm::Result<Item> {
+        Ok((*self).clone())
     }
 }
 
@@ -369,6 +384,15 @@ fn call<'a, V: View<'a>>(
             Some(Atom::DateTime(d)) => atom(Atom::Number(Number::Int(date_part(f, d)))),
             _ => None,
         },
+        (CombineSidePartials, 4) => {
+            match (arg(0).atom(arena), arg(1).atom(arena), arg(2), arg(3)) {
+                (Some(Atom::String(agg)), Some(Atom::String(op)), Slot::View(a), Slot::View(b)) => {
+                    arena.push(combine_side_partials(agg, op, a, b)?);
+                    return Ok(Slot::Owned(arena.len() - 1));
+                }
+                _ => None,
+            }
+        }
         _ => None,
     };
     if let Some(slot) = on_views {
@@ -497,6 +521,12 @@ pub fn apply(f: Function, mut args: Vec<Item>) -> Result<Item> {
             fold.push(&args.pop().expect("aggregate arity"))?;
             Ok(fold.finish())
         }
+        CombineSidePartials => match args.as_slice() {
+            [Item::String(agg), Item::String(op), a, b] => combine_side_partials(agg, op, a, b),
+            _ => Err(EngineError::Runtime(
+                "combine-side-partials takes an aggregate, an operator and two partials".into(),
+            )),
+        },
         Collection | JsonDoc => Err(EngineError::Runtime(
             "collection()/json-doc() must be compiled to a scan, not evaluated".into(),
         )),
@@ -542,8 +572,9 @@ pub(crate) fn ebv(item: &Item) -> bool {
     }
 }
 
-/// Unwrap a singleton sequence; `None` for the empty sequence.
-fn singleton(item: &Item) -> Option<&Item> {
+/// Unwrap a singleton sequence; `None` for the empty sequence and for
+/// sequences of more than one item.
+pub(crate) fn singleton(item: &Item) -> Option<&Item> {
     match item {
         Item::Sequence(v) => match v.as_slice() {
             [one] => singleton(one),
@@ -639,9 +670,7 @@ fn arith(f: Function, lhs: &Item, rhs: &Item) -> Result<Item> {
         return Ok(Item::empty());
     };
     let (Some(a), Some(b)) = (l.as_number(), r.as_number()) else {
-        return Err(EngineError::Runtime(format!(
-            "arithmetic on non-numbers: {l} and {r}"
-        )));
+        return Err(non_numbers(l, r));
     };
     let out = match f {
         Function::Add => a.add(b),
@@ -654,6 +683,12 @@ fn arith(f: Function, lhs: &Item, rhs: &Item) -> Result<Item> {
         _ => unreachable!("not arithmetic"),
     };
     Ok(Item::Number(out))
+}
+
+/// The error of arithmetic on the operands `l` and `r`, one of them not a
+/// number.
+pub(crate) fn non_numbers(l: &Item, r: &Item) -> EngineError {
+    EngineError::Runtime(format!("arithmetic on non-numbers: {l} and {r}"))
 }
 
 /// The year, month or day of `d` for the accessor `f`.

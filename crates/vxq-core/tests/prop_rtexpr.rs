@@ -374,7 +374,7 @@ fn aggregate(func: AggFunc, items: &[Item]) -> Result<Item, String> {
     let rows: Vec<Vec<Vec<u8>>> = items.iter().map(|it| vec![to_bytes(it)]).collect();
     let mut agg = AggFactory {
         func,
-        arg: RtExpr::field(0),
+        arg: RtExpr::field(0).into(),
     }
     .create();
     let eval_text = |e: DataflowError| match e {

@@ -1,16 +1,44 @@
 //! Integration test host crate: shared helpers for the e2e suites.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A fresh, empty directory `vxq-<name>-<pid>` under the system temp
 /// dir. The process id keeps concurrent runs of one test binary (two
 /// `cargo test` invocations, or two checkouts) from deleting and
-/// rewriting each other's data.
+/// rewriting each other's data. A run cannot remove its directory when
+/// it ends (statics are never dropped), so each call first removes the
+/// `vxq-<name>-<pid>` directories of processes that are gone.
 pub fn scratch_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("vxq-{name}-{}", std::process::id()));
+    let tmp = std::env::temp_dir();
+    remove_stale_scratch_dirs(&tmp, name);
+    let dir = tmp.join(format!("vxq-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir
+}
+
+/// Remove the `vxq-<name>-<pid>` directories under `tmp` whose process
+/// no longer runs. Where `/proc` does not list processes (not Linux),
+/// nothing is removed.
+fn remove_stale_scratch_dirs(tmp: &Path, name: &str) {
+    let proc = Path::new("/proc");
+    if !proc.join("self").exists() {
+        return;
+    }
+    let prefix = format!("vxq-{name}-");
+    let Ok(entries) = std::fs::read_dir(tmp) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let file_name = entry.file_name();
+        let pid = file_name
+            .to_str()
+            .and_then(|n| n.strip_prefix(&prefix))
+            .and_then(|pid| pid.parse::<u32>().ok());
+        if pid.is_some_and(|pid| !proc.join(pid.to_string()).exists()) {
+            let _ = std::fs::remove_dir_all(entry.path());
+        }
+    }
 }
 
 /// Partitions-per-node used by cluster-shape-sensitive suites. The CI
@@ -80,6 +108,29 @@ avg(
 
 #[cfg(test)]
 mod tests {
+    #[test]
+    fn scratch_dirs_of_ended_processes_are_removed() {
+        let name = "scratch-dir-test";
+        let tmp = std::env::temp_dir();
+        // No process has id u32::MAX; this one is live.
+        let stale = tmp.join(format!("vxq-{name}-{}", u32::MAX));
+        let other = tmp.join(format!("vxq-{name}-other-{}", u32::MAX));
+        std::fs::create_dir_all(stale.join("sensors")).unwrap();
+        std::fs::create_dir_all(&other).unwrap();
+        let live = super::scratch_dir(name);
+        if std::path::Path::new("/proc/self").exists() {
+            assert!(!stale.exists(), "a dead process's directory stays");
+        }
+        assert!(live.exists());
+        assert!(other.exists(), "another name's directory was removed");
+        // A second call keeps this process's directory.
+        super::scratch_dir(name);
+        assert!(live.exists());
+        for dir in [stale, other, live] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+
     #[test]
     fn defaults_apply_without_env() {
         // The suite never sets these vars itself, so in-process defaults

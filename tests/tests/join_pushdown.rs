@@ -193,7 +193,9 @@ fn the_rule_fires_on_every_join_case() {
 }
 
 /// With the records gone from the join's inputs, Q2's hash exchanges
-/// ship a fraction of the bytes they shipped without the rule.
+/// ship a fraction of the bytes they shipped without the rule. Eager
+/// aggregation (`push-aggregate-below-join`) is off on both sides: it
+/// folds the records before any exchange, with or without this rule.
 #[test]
 fn q2_join_inputs_ship_without_the_records() {
     let network_bytes = |rules: RuleSet| {
@@ -214,10 +216,77 @@ fn q2_join_inputs_ship_without_the_records() {
         .stats
         .network_bytes
     };
-    let with = network_bytes(RuleSet::for_config(RuleConfig::all()));
-    let without = network_bytes(RuleSet::for_config(RuleConfig::all()).without(RULE));
+    let fan_out = || RuleSet::for_config(RuleConfig::all()).without("push-aggregate-below-join");
+    let with = network_bytes(fan_out());
+    let without = network_bytes(fan_out().without(RULE));
     assert!(
         with * 2 < without,
         "{with} B with {RULE}, {without} B without"
     );
+}
+
+/// A join key `eq` never matches drops its tuple: two records that both
+/// lack `station`, or that both hold the array `["A"]`, do not join, in
+/// any rule configuration.
+#[test]
+fn join_keys_match_as_eq_does() {
+    let root = scratch_dir("join-pushdown-keys");
+    let node_dir = root.join("sensors").join("node0");
+    std::fs::create_dir_all(&node_dir).expect("node dir");
+    std::fs::write(
+        node_dir.join("part0000.json"),
+        r#"{"root": [{"results": [
+            {"date": "d1", "dataType": "TMIN", "value": 1},
+            {"date": "d1", "dataType": "TMAX", "value": 11},
+            {"date": "d1", "dataType": "TMIN", "station": ["A"], "value": 2},
+            {"date": "d1", "dataType": "TMAX", "station": ["A"], "value": 4},
+            {"date": "d1", "dataType": "TMIN", "station": {"id": "A"}, "value": 3},
+            {"date": "d1", "dataType": "TMAX", "station": {"id": "A"}, "value": 9},
+            {"date": "d1", "dataType": "TMIN", "station": "S", "value": 0},
+            {"date": "d1", "dataType": "TMAX", "station": "S", "value": 100}
+        ]}]}"#,
+    )
+    .expect("write file");
+    let pairs = r#"
+        for $r_min in collection("/sensors")("root")()("results")()
+        for $r_max in collection("/sensors")("root")()("results")()
+        where $r_min("station") eq $r_max("station")
+          and $r_min("date") eq $r_max("date")
+          and $r_min("dataType") eq "TMIN"
+          and $r_max("dataType") eq "TMAX"
+        return $r_max("value") - $r_min("value")
+    "#;
+    let self_eq = r#"
+        for $r in collection("/sensors")("root")()("results")()
+        where $r("station") eq $r("station")
+        return $r("value")
+    "#;
+    let cluster = ClusterSpec {
+        nodes: 1,
+        partitions_per_node: 1,
+        ..ClusterSpec::default()
+    };
+    for config in [RuleConfig::all(), RuleConfig::paper(), RuleConfig::none()] {
+        let engine = Engine::with_rule_set(
+            EngineConfig {
+                cluster: cluster.clone(),
+                data_root: root.clone(),
+                ..EngineConfig::default()
+            },
+            RuleSet::for_config(config),
+        );
+        let values = |query: &str| -> Vec<String> {
+            let mut v: Vec<String> = engine
+                .execute(query)
+                .expect("query runs")
+                .rows
+                .iter()
+                .map(|row| row[0].to_string())
+                .collect();
+            v.sort();
+            v
+        };
+        assert_eq!(values(pairs), vec!["100".to_string()], "{config:?}");
+        assert_eq!(values(self_eq), vec!["0", "100"], "{config:?}");
+    }
 }

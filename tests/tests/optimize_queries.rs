@@ -5,10 +5,17 @@ use algebra::rules::{RuleConfig, RuleSet};
 use algebra::LogicalPlan;
 
 fn optimized(query: &str, config: RuleConfig) -> LogicalPlan {
-    let mut plan = jsoniq::compile(query).expect("compiles");
-    RuleSet::for_config(config).optimize(&mut plan);
-    plan
+    optimized_by(query, RuleSet::for_config(config)).0
 }
+
+/// The plan `rules` make of `query`, and the rules that fired.
+fn optimized_by(query: &str, rules: RuleSet) -> (LogicalPlan, Vec<&'static str>) {
+    let mut plan = jsoniq::compile(query).expect("compiles");
+    let applied = rules.optimize(&mut plan);
+    (plan, applied)
+}
+
+const EAGER: &str = "push-aggregate-below-join";
 
 const Q0: &str = r#"
     for $r in collection("/sensors")("root")()("results")()
@@ -128,11 +135,13 @@ fn q2_optimized_has_join_over_two_scans() {
 }
 
 /// The one-sided `value` steps of Q2's return move below the join, so
-/// the join carries two numbers instead of two records.
+/// the join carries two numbers instead of two records. (With eager
+/// aggregation the ASSIGN above the join combines partials instead; it
+/// is off here.)
 #[test]
 fn q2_evaluates_one_sided_paths_below_the_join() {
     for config in [RuleConfig::all(), RuleConfig::none()] {
-        let plan = optimized(Q2, config);
+        let (plan, _) = optimized_by(Q2, RuleSet::for_config(config).without(EAGER));
         let t = plan.explain();
         let mut above = None;
         let mut below = 0;
@@ -336,4 +345,118 @@ fn the_scan_filter_never_bypasses_a_failing_expression() {
         "{}",
         plan.explain()
     );
+}
+
+/// Under `all()`, eager aggregation gives each side of Q2's join a
+/// GROUP-BY on its join keys folding a side partial of the side's
+/// `value` (whose ASSIGN it absorbs); the join matches the group keys,
+/// and the `merge-avg` above it folds the combined partials.
+#[test]
+fn eager_aggregation_rewrites_q2() {
+    let plan = optimized(Q2, RuleConfig::all());
+    let expected = r#"distribute [$18]
+  assign $18 := divide($17, 10)
+    aggregate $17 := merge-avg(combine-side-partials("avg", "subtract", $22, $21))
+      join and(eq($23, $24), eq($25, $26))
+        group-by [$23 := value($7, "station"), $25 := value($7, "date")] {
+          aggregate $21 := side-partial(value($7, "value"))
+            nested-tuple-source
+        }
+          select eq(value($7, "dataType"), "TMIN")
+            data-scan $7 <- collection("/sensors") project ("root")()("results")() filter eq(value($7, "dataType"), "TMIN")
+              empty-tuple-source
+        group-by [$24 := value($15, "station"), $26 := value($15, "date")] {
+          aggregate $22 := side-partial(value($15, "value"))
+            nested-tuple-source
+        }
+          select eq(value($15, "dataType"), "TMAX")
+            data-scan $15 <- collection("/sensors") project ("root")()("results")() filter eq(value($15, "dataType"), "TMAX")
+              empty-tuple-source
+"#;
+    assert_eq!(plan.explain(), expected);
+}
+
+/// The rule fires only on an `avg`, `sum` or `count` of `subtract` or
+/// `add` of two one-sided terms directly over an equi-join, and only
+/// under `all()`.
+#[test]
+fn eager_aggregation_fires_only_where_it_may() {
+    let join = |agg: &str, ret: &str| {
+        format!(
+            r#"{agg}(
+              for $r_min in collection("/sensors")("root")()("results")()
+              for $r_max in collection("/sensors")("root")()("results")()
+              where $r_min("station") eq $r_max("station")
+                and $r_min("dataType") eq "TMIN"
+                and $r_max("dataType") eq "TMAX"
+              return {ret})"#
+        )
+    };
+    let diff = r#"$r_max("value") - $r_min("value")"#;
+    let whole_record = r#"
+        for $r_min in collection("/sensors")("root")()("results")()
+        for $r_max in collection("/sensors")("root")()("results")()
+        where $r_min("station") eq $r_max("station")
+        return $r_max"#;
+    let negative = [
+        (
+            "select above the join",
+            integration_tests::Q2_DECEMBER.to_string(),
+        ),
+        ("join returning records", whole_record.to_string()),
+        ("min", join("min", diff)),
+        ("max", join("max", diff)),
+        (
+            "multiply",
+            join("sum", r#"$r_max("value") * $r_min("value")"#),
+        ),
+        (
+            "a term reading both sides",
+            join(
+                "sum",
+                r#"$r_max("value") - ($r_min("value") - $r_max("value"))"#,
+            ),
+        ),
+        (
+            "both terms on one side",
+            join("sum", r#"$r_max("value") - $r_max("v2")"#),
+        ),
+        (
+            "a term that can fail",
+            join(
+                "sum",
+                r#"year-from-dateTime(dateTime($r_max("date"))) - $r_min("value")"#,
+            ),
+        ),
+    ];
+    for (name, query) in &negative {
+        let (plan, applied) = optimized_by(query, RuleSet::for_config(RuleConfig::all()));
+        assert!(!applied.contains(&EAGER), "{name}: {}", plan.explain());
+    }
+    for agg in ["avg", "sum", "count"] {
+        let (plan, applied) =
+            optimized_by(&join(agg, diff), RuleSet::for_config(RuleConfig::all()));
+        assert!(applied.contains(&EAGER), "{agg}: {}", plan.explain());
+    }
+    for config in [RuleConfig::paper(), RuleConfig::none()] {
+        let (plan, applied) = optimized_by(Q2, RuleSet::for_config(config));
+        assert!(!applied.contains(&EAGER), "{config:?}: {applied:?}");
+        assert!(
+            !plan.explain().contains("side-partial"),
+            "{}",
+            plan.explain()
+        );
+    }
+}
+
+/// Eager aggregation leaves the plans of the other paper queries as they
+/// were.
+#[test]
+fn eager_aggregation_leaves_q0_and_q1_unchanged() {
+    for query in [Q0, Q0B, Q1, Q1B] {
+        let (with, _) = optimized_by(query, RuleSet::for_config(RuleConfig::all()));
+        let (without, _) =
+            optimized_by(query, RuleSet::for_config(RuleConfig::all()).without(EAGER));
+        assert_eq!(with.explain(), without.explain());
+    }
 }

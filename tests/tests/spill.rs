@@ -6,7 +6,7 @@
 //! hard-coded, so the tests keep forcing spills if the dataset or the
 //! operator overheads change.
 
-use algebra::rules::RuleConfig;
+use algebra::rules::{RuleConfig, RuleSet};
 use dataflow::{ClusterSpec, SpillConfig};
 use datagen::SensorSpec;
 use integration_tests::scratch_dir;
@@ -56,19 +56,41 @@ fn cluster(nodes: usize, parts: usize) -> ClusterSpec {
 }
 
 fn engine(budget: usize, cl: ClusterSpec, rules: RuleConfig, spill: SpillConfig) -> Engine {
+    engine_with(budget, cl, rules, RuleSet::for_config(rules), spill)
+}
+
+/// [`RuleConfig::all`] without eager aggregation: Q2's hash join emits
+/// one row per TMIN x TMAX pair of a key, the large build and fan-out the
+/// grace-join tests need. (With the rule, the join matches one row per
+/// key.)
+fn fan_out() -> RuleSet {
+    RuleSet::for_config(RuleConfig::all()).without("push-aggregate-below-join")
+}
+
+/// [`engine`] running `rules`, with `config`'s physical settings.
+fn engine_with(
+    budget: usize,
+    cl: ClusterSpec,
+    config: RuleConfig,
+    rules: RuleSet,
+    spill: SpillConfig,
+) -> Engine {
     let _env = ENV_LOCK.lock().expect("env lock");
     // `budget == 0` here means *really* unlimited, even on the CI leg
     // that exports VXQ_MEM_BUDGET for the whole suite.
     let saved = std::env::var_os("VXQ_MEM_BUDGET");
     std::env::remove_var("VXQ_MEM_BUDGET");
-    let e = Engine::new(EngineConfig {
-        cluster: cl,
+    let e = Engine::with_rule_set(
+        EngineConfig {
+            cluster: cl,
+            rules: config,
+            data_root: data_root().clone(),
+            memory_budget: budget,
+            spill,
+            ..EngineConfig::default()
+        },
         rules,
-        data_root: data_root().clone(),
-        memory_budget: budget,
-        spill,
-        ..EngineConfig::default()
-    });
+    );
     if let Some(v) = saved {
         std::env::set_var("VXQ_MEM_BUDGET", v);
     }
@@ -117,15 +139,28 @@ fn squeezed_join_budget(e: &Engine, query: &str, frac: usize) -> usize {
 
 /// The ISSUE's acceptance bar: Q0/Q1/Q2 return byte-identical (sorted)
 /// rows under shrinking budgets, down to budgets well below their
-/// unlimited peaks, and the tight budgets actually spill.
+/// unlimited peaks, and the tight budgets actually spill. Q2 runs twice:
+/// with its pairwise join (`fan_out`), and with eager aggregation, whose
+/// group-bys on each side of the join spill.
 #[test]
 fn budget_sweep_returns_identical_rows() {
-    let unlimited = engine(0, cluster(2, 2), RuleConfig::all(), SpillConfig::default());
-    for (name, query) in [
-        ("Q0", queries::Q0),
-        ("Q1", queries::Q1),
-        ("Q2", queries::Q2),
+    let all = || RuleSet::for_config(RuleConfig::all());
+    for (name, query, rules) in [
+        ("Q0", queries::Q0, all as fn() -> RuleSet),
+        ("Q1", queries::Q1, all),
+        ("Q2", queries::Q2, fan_out),
+        ("eager Q2", queries::Q2, all),
     ] {
+        let run_with = |budget| {
+            engine_with(
+                budget,
+                cluster(2, 2),
+                RuleConfig::all(),
+                rules(),
+                SpillConfig::default(),
+            )
+        };
+        let unlimited = run_with(0);
         let base = unlimited.execute(query).expect("unlimited run");
         let expected = canon(&base.rows);
         let mid = match name {
@@ -133,12 +168,7 @@ fn budget_sweep_returns_identical_rows() {
             _ => squeezed_budget(&unlimited, query, 2),
         };
         for budget in [64 * 1024 * 1024, mid] {
-            let e = engine(
-                budget,
-                cluster(2, 2),
-                RuleConfig::all(),
-                SpillConfig::default(),
-            );
+            let e = run_with(budget);
             let r = e
                 .execute(query)
                 .unwrap_or_else(|err| panic!("{name} under {budget} B failed: {err}"));
@@ -213,13 +243,20 @@ fn external_sort_multi_pass_merge_stays_correct() {
 /// and re-partition again.
 #[test]
 fn grace_join_recursive_partitioning_stays_correct() {
-    let unlimited = engine(0, cluster(1, 1), RuleConfig::all(), SpillConfig::default());
+    let unlimited = engine_with(
+        0,
+        cluster(1, 1),
+        RuleConfig::all(),
+        fan_out(),
+        SpillConfig::default(),
+    );
     let base = unlimited.execute(queries::Q2).expect("unlimited Q2");
     let budget = squeezed_join_budget(&unlimited, queries::Q2, 8);
-    let e = engine(
+    let e = engine_with(
         budget,
         cluster(1, 1),
         RuleConfig::all(),
+        fan_out(),
         SpillConfig {
             spill_partitions: 2,
             ..SpillConfig::default()
@@ -307,12 +344,19 @@ fn spill_dirs_left(root: &PathBuf) -> Vec<String> {
 #[test]
 fn spill_dir_cleaned_after_success() {
     let scratch = scratch_dir("spill-scratch-ok");
-    let unlimited = engine(0, cluster(1, 1), RuleConfig::all(), SpillConfig::default());
+    let unlimited = engine_with(
+        0,
+        cluster(1, 1),
+        RuleConfig::all(),
+        fan_out(),
+        SpillConfig::default(),
+    );
     let budget = squeezed_join_budget(&unlimited, queries::Q2, 4);
-    let e = engine(
+    let e = engine_with(
         budget,
         cluster(1, 1),
         RuleConfig::all(),
+        fan_out(),
         SpillConfig {
             dir: Some(scratch.clone()),
             ..SpillConfig::default()
