@@ -13,14 +13,17 @@
 //!
 //! `--metrics-dir DIR` runs every sensor query once on a 2-node × 2-
 //! partition cluster with full observability and writes, per query:
-//! `<q>.prom` (Prometheus text exposition), `<q>.metrics.json` (stats +
-//! per-operator profile + per-rule optimizer timings), `<q>.trace.json`
+//! `<q>.prom` (Prometheus text exposition) and `<q>.metrics.json`, both
+//! rendered from the engine's [`vxq_core::Report`], `<q>.trace.json`
 //! (Chrome trace, load via chrome://tracing) and `<q>.trace.jsonl`
-//! (JSON-lines spans), plus an `EXPLAIN ANALYZE` report on stdout.
+//! (JSON-lines spans), plus an `EXPLAIN ANALYZE` report on stdout; then
+//! `service.prom` and `service.metrics.json` for a short concurrent burst
+//! through one `QueryService`, whose text report also goes to stdout.
 
 use bench::experiments::{by_name, EXPERIMENTS};
 use bench::{Harness, Scale};
 use std::io::Write;
+use vxq_core::Report;
 
 fn usage() -> ! {
     eprintln!(
@@ -35,53 +38,42 @@ fn usage() -> ! {
 fn dump_metrics(harness: &Harness, dir: &std::path::Path) {
     use algebra::rules::RuleConfig;
     use dataflow::ClusterSpec;
+    use vxq_core::queries::SENSOR_QUERIES;
 
     std::fs::create_dir_all(dir).expect("create metrics dir");
+    let write = |name: &str, ext: &str, content: String| {
+        let path = dir.join(format!("{name}.{ext}"));
+        std::fs::write(&path, content).expect("write metrics file");
+        eprintln!("   wrote {}", path.display());
+    };
     let spec = harness.sensor_spec(256 * 1024, 2, 20);
     let root = harness.dataset("metrics", &spec);
-    let engine = harness.engine(
-        &root,
-        ClusterSpec {
-            nodes: 2,
-            partitions_per_node: 2,
-            ..Default::default()
-        },
-        RuleConfig::all(),
-    );
-    for (name, query) in vxq_core::queries::SENSOR_QUERIES {
+    let cluster = ClusterSpec {
+        nodes: 2,
+        partitions_per_node: 2,
+        ..Default::default()
+    };
+    let engine = harness.engine(&root, cluster, RuleConfig::all());
+    for (name, query) in SENSOR_QUERIES {
         let (result, trace) = engine.execute_profiled(query).expect("profiled query");
-        let write = |ext: &str, content: String| {
-            let path = dir.join(format!("{name}.{ext}"));
-            std::fs::write(&path, content).expect("write metrics file");
-            eprintln!("   wrote {}", path.display());
-        };
-        write("prom", bench::metrics::to_prometheus(name, &result));
-        write("metrics.json", bench::metrics::to_json(name, &result));
-        write("trace.json", trace.to_chrome_trace());
-        write("trace.jsonl", trace.to_json_lines());
+        let report = Report::query(name, &result);
+        write(name, "prom", report.prometheus());
+        write(name, "metrics.json", report.json());
+        write(name, "trace.json", trace.to_chrome_trace());
+        write(name, "trace.jsonl", trace.to_json_lines());
         println!("== EXPLAIN ANALYZE {name} ==");
         println!("{}", vxq_core::render_analysis(&result));
     }
 
     // The serving layer: a short concurrent burst of the sensor queries
-    // through one QueryService, snapshotted into its own families.
-    let engine = harness.engine(
-        &root,
-        ClusterSpec {
-            nodes: 2,
-            partitions_per_node: 2,
-            ..Default::default()
-        },
-        RuleConfig::all(),
-    );
+    // through one QueryService, reported in its own families.
     let service = vxq_core::QueryService::new(engine, vxq_core::ServiceConfig::default());
     std::thread::scope(|s| {
         for c in 0..4 {
             let service = &service;
             s.spawn(move || {
                 for round in 0..3 {
-                    let (_, query) = vxq_core::queries::SENSOR_QUERIES
-                        [(c + round) % vxq_core::queries::SENSOR_QUERIES.len()];
+                    let (_, query) = SENSOR_QUERIES[(c + round) % SENSOR_QUERIES.len()];
                     service
                         .execute(query, vxq_core::QueryOptions::default())
                         .expect("service query");
@@ -89,31 +81,10 @@ fn dump_metrics(harness: &Harness, dir: &std::path::Path) {
             });
         }
     });
-    let snap = service.snapshot();
-    let write = |ext: &str, content: String| {
-        let path = dir.join(format!("service.{ext}"));
-        std::fs::write(&path, content).expect("write metrics file");
-        eprintln!("   wrote {}", path.display());
-    };
-    write("prom", bench::metrics::service_to_prometheus(&snap));
-    write("metrics.json", bench::metrics::service_to_json(&snap));
-    println!("== service ==");
-    println!(
-        "submitted: {}  completed: {}  failed: {}  rejected: {}",
-        snap.submitted, snap.completed, snap.failed, snap.rejected
-    );
-    println!(
-        "plan cache: {} hits / {} misses ({} cached)",
-        snap.plan_cache_hits, snap.plan_cache_misses, snap.plan_cache_size
-    );
-    println!(
-        "latency: p50 {:.1} ms  p95 {:.1} ms  p99 {:.1} ms  (n={})",
-        snap.latency.p50_us as f64 / 1000.0,
-        snap.latency.p95_us as f64 / 1000.0,
-        snap.latency.p99_us as f64 / 1000.0,
-        snap.latency.count
-    );
-    println!("leaked bytes: {}", snap.leaked_bytes);
+    let report = Report::service(&service.snapshot());
+    write("service", "prom", report.prometheus());
+    write("service", "metrics.json", report.json());
+    print!("{}", report.text());
 }
 
 fn main() {

@@ -24,20 +24,14 @@
 //! | ablation-eager | (beyond the paper) eager aggregation below the join off/on | [`ablation::eager_aggregation`] |
 //! | ablation-frames | (beyond the paper) frame-size sweep | [`ablation::frame_size`] |
 //! | ablation-memory | (beyond the paper) peak memory per rule config | [`ablation::memory_by_config`] |
-//! | splits-scan | (beyond the paper) intra-file split scanning | [`splits::splits`] |
 //! | spill | (beyond the paper) memory-budget sweep, spilling operators | [`spill::spill`] |
-//! | service | (beyond the paper) concurrent-serving throughput sweep | [`service::service`] |
-//! | stage1 | (beyond the paper) SWAR vs scalar stage-1 sweep | [`stage1::stage1`] |
 
 pub mod ablation;
 pub mod compare_cluster;
 pub mod compare_single;
 pub mod parallel;
 pub mod rules;
-pub mod service;
 pub mod spill;
-pub mod splits;
-pub mod stage1;
 
 use crate::{Harness, Table};
 
@@ -68,10 +62,7 @@ pub const EXPERIMENTS: &[(&str, ExperimentFn)] = &[
     ("ablation-eager", ablation::eager_aggregation),
     ("ablation-frames", ablation::frame_size),
     ("ablation-memory", ablation::memory_by_config),
-    ("splits-scan", splits::splits),
     ("spill", spill::spill),
-    ("service", service::service),
-    ("stage1", stage1::stage1),
 ];
 
 /// Look up an experiment by id.

@@ -12,7 +12,6 @@
 //! table rendering.
 
 pub mod experiments;
-pub mod metrics;
 
 use algebra::rules::{RuleConfig, RuleSet};
 use baselines::{BenchQuery, QuerySystem, VxQuerySystem};
@@ -101,7 +100,7 @@ impl Harness {
         cluster: ClusterSpec,
         rules: RuleConfig,
     ) -> Engine {
-        self.engine_with_scan(root, cluster, rules, vxq_core::ScanOptions::default())
+        self.engine_with_budget(root, cluster, rules, 0)
     }
 
     /// Build a VXQuery engine running a hand-picked rule set (an ablation
@@ -121,25 +120,6 @@ impl Harness {
             },
             rules,
         )
-    }
-
-    /// Build a VXQuery engine with explicit DATASCAN split options (the
-    /// intra-file-parallelism experiment's knob).
-    pub fn engine_with_scan(
-        &self,
-        root: &std::path::Path,
-        cluster: ClusterSpec,
-        rules: RuleConfig,
-        scan: vxq_core::ScanOptions,
-    ) -> Engine {
-        Engine::new(EngineConfig {
-            cluster,
-            rules,
-            data_root: root.to_path_buf(),
-            memory_budget: 0,
-            scan,
-            ..EngineConfig::default()
-        })
     }
 
     /// Build a VXQuery engine running under a memory budget (bytes; the

@@ -454,15 +454,6 @@ impl JobProfile {
             .sum()
     }
 
-    /// Total tuples emitted *by* all operators with this name.
-    pub fn tuples_out_of(&self, name: &str) -> u64 {
-        self.ops
-            .iter()
-            .filter(|o| o.name == name)
-            .map(|o| o.tuples_out)
-            .sum()
-    }
-
     /// DATASCAN tuples per partition, summed over that partition's splits
     /// (scan-balance view; empty when no splits were recorded).
     pub fn scan_tuples_by_partition(&self) -> Vec<(usize, u64)> {

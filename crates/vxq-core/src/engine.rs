@@ -10,7 +10,6 @@ use dataflow::trace::ArgValue;
 use dataflow::{
     CancelToken, Cluster, ClusterSpec, JobStats, MemTracker, Rows, RunOptions, TraceBuffer,
 };
-use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -339,162 +338,8 @@ impl Engine {
     /// followed by the measured per-operator metrics of every stage.
     pub fn explain_analyze(&self, query: &str) -> Result<String> {
         let (result, _trace) = self.execute_profiled(query)?;
-        Ok(render_analysis(&result))
+        Ok(crate::report::render_analysis(&result))
     }
-}
-
-/// Render a completed [`QueryResult`] as an EXPLAIN ANALYZE report.
-pub fn render_analysis(result: &QueryResult) -> String {
-    let mut out = String::new();
-    out.push_str("== optimized plan ==\n");
-    out.push_str(result.plan.trim_end());
-    out.push('\n');
-    if !result.rule_firings.is_empty() {
-        out.push_str("\n== rule firings ==\n");
-        for f in &result.rule_firings {
-            let _ = writeln!(
-                out,
-                "round {:<2} {:<40} {:>7.1}us  nodes {} -> {}",
-                f.round,
-                f.rule,
-                f.duration.as_secs_f64() * 1e6,
-                f.nodes_before,
-                f.nodes_after
-            );
-        }
-    }
-    out.push_str("\n== runtime (per operator, summed over partitions) ==\n");
-    let _ = writeln!(
-        out,
-        "{:<5} {:<4} {:<16} {:>5} {:>12} {:>12} {:>10} {:>10} {:>12} {:>12}",
-        "stage",
-        "op",
-        "name",
-        "tasks",
-        "tuples_in",
-        "tuples_out",
-        "frames_in",
-        "frames_out",
-        "busy_us",
-        "stall_us"
-    );
-    for s in result.stats.profile.summaries() {
-        let _ = writeln!(
-            out,
-            "{:<5} {:<4} {:<16} {:>5} {:>12} {:>12} {:>10} {:>10} {:>12.1} {:>12.1}",
-            s.stage,
-            s.op_index,
-            s.name,
-            s.partitions,
-            s.tuples_in,
-            s.tuples_out,
-            s.frames_in,
-            s.frames_out,
-            s.busy.as_secs_f64() * 1e6,
-            s.emit_stall.as_secs_f64() * 1e6
-        );
-    }
-    if !result.stats.profile.splits.is_empty() {
-        out.push_str("\n== scan splits ==\n");
-        let _ = writeln!(
-            out,
-            "{:<5} {:<4} {:<40} {:>7} {:>10} {:>10} {:>10} {:>12} {:>12} {:>10} {:>9} {:>6}",
-            "stage",
-            "part",
-            "file",
-            "split",
-            "records",
-            "tuples",
-            "emitted",
-            "bytes",
-            "busy_us",
-            "idx_us",
-            "idx_gbps",
-            "kern"
-        );
-        for s in &result.stats.profile.splits {
-            let file = std::path::Path::new(&s.file)
-                .file_name()
-                .map(|f| f.to_string_lossy().into_owned())
-                .unwrap_or_else(|| s.file.clone());
-            // Index-build throughput of this split ("-" when the build
-            // happened elsewhere: another split of a shared file, or an
-            // index-free source).
-            let idx_gbps = if s.index_bytes > 0 && !s.index_elapsed.is_zero() {
-                format!(
-                    "{:.2}",
-                    s.index_bytes as f64 / s.index_elapsed.as_secs_f64() / 1e9
-                )
-            } else {
-                "-".to_string()
-            };
-            let _ = writeln!(
-                out,
-                "{:<5} {:<4} {:<40} {:>3}/{:<3} {:>10} {:>10} {:>10} {:>12} {:>12.1} {:>10.1} {:>9} {:>6}",
-                s.stage,
-                s.partition,
-                file,
-                s.split,
-                s.of,
-                s.records,
-                s.tuples,
-                s.emitted,
-                s.bytes,
-                s.elapsed.as_secs_f64() * 1e6,
-                s.index_elapsed.as_secs_f64() * 1e6,
-                idx_gbps,
-                s.kernel.unwrap_or("-")
-            );
-        }
-    }
-    let st = &result.stats;
-    let sp = &st.spill;
-    if sp.budget > 0 || sp.spilled() || sp.budget_exceeded {
-        out.push_str("\n== spill ==\n");
-        let budget = if sp.budget == 0 {
-            "unlimited".to_string()
-        } else {
-            format!("{} B", sp.budget)
-        };
-        let _ = writeln!(
-            out,
-            "budget: {budget}\nruns written: {}\nspilled: {} B in {} tuples\nmerge passes: {}\nmax recursion: {}\nbudget exceeded: {}",
-            sp.runs_written,
-            sp.bytes_spilled,
-            sp.tuples_spilled,
-            sp.merge_passes,
-            sp.max_recursion,
-            sp.budget_exceeded
-        );
-        if !st.profile.spill_ops.is_empty() {
-            let _ = writeln!(
-                out,
-                "{:<5} {:<4} {:<16} {:>12} {:>6} {:>12} {:>10} {:>7} {:>6}",
-                "stage", "part", "op", "peak_res", "runs", "bytes", "tuples", "merges", "depth"
-            );
-            for o in &st.profile.spill_ops {
-                let _ = writeln!(
-                    out,
-                    "{:<5} {:<4} {:<16} {:>12} {:>6} {:>12} {:>10} {:>7} {:>6}",
-                    o.stage,
-                    o.partition,
-                    o.op,
-                    o.peak_reserved,
-                    o.runs_written,
-                    o.bytes_spilled,
-                    o.tuples_spilled,
-                    o.merge_passes,
-                    o.recursion_depth
-                );
-            }
-        }
-    }
-    let _ = writeln!(
-        out,
-        "\n== totals ==\nsimulated elapsed: {:?}\ncpu total: {:?}\npeak memory: {} B ({} B resident scan cache)\nnetwork: {} B in {} frames\nresult tuples: {}",
-        st.elapsed, st.cpu_total, st.peak_memory, st.peak_cached, st.network_bytes, st.frames_shipped, st.result_tuples
-    );
-    out
 }
 
 #[cfg(test)]

@@ -26,6 +26,9 @@
 //!   two-step aggregation, join key extraction; logical plan → [`dataflow::JobSpec`].
 //! * [`engine`] — the public API: [`Engine`] executes queries on a
 //!   [`dataflow::ClusterSpec`] under a [`algebra::rules::RuleConfig`].
+//! * [`report`] — the one query report: every metric of a run and of a
+//!   service snapshot, defined once and rendered as EXPLAIN ANALYZE
+//!   text, JSON and Prometheus exposition.
 //! * [`queries`] — the evaluation queries of the paper (Q0, Q0b, Q1, Q1b,
 //!   Q2) and the bookstore examples, as constants.
 //!
@@ -51,17 +54,18 @@ pub mod engine;
 pub mod error;
 pub mod pool;
 pub mod queries;
+pub mod report;
 pub mod rtexpr;
 pub mod scan;
 pub mod service;
 pub mod tapefilter;
 
 pub use engine::{
-    parse_memory_budget, render_analysis, Engine, EngineConfig, ExecOptions, PreparedQuery,
-    QueryResult,
+    parse_memory_budget, Engine, EngineConfig, ExecOptions, PreparedQuery, QueryResult,
 };
 pub use error::{EngineError, Result};
 pub use pool::ScanBufferPool;
+pub use report::{render_analysis, Report};
 pub use scan::ScanOptions;
 pub use service::{
     LatencySummary, Priority, QueryOptions, QueryService, QueryTicket, ServiceConfig,

@@ -40,8 +40,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Latency samples kept for percentile reporting; past this the recorder
-/// stops (the bound keeps a long-lived service from growing without
+/// Latency samples kept for percentile reporting: the most recent 64 Ki,
+/// in a ring (the bound keeps a long-lived service from growing without
 /// limit, and 64 Ki samples is plenty for stable p99s).
 const LATENCY_SAMPLE_CAP: usize = 64 * 1024;
 
@@ -372,20 +372,33 @@ struct ServiceMetrics {
     /// High-water mark of bytes a finished job left allocated on its
     /// tracker — 0 in a healthy service (cancellation hygiene check).
     leaked_bytes: AtomicU64,
-    latency_us: Mutex<Vec<u64>>,
-    queue_wait_us: Mutex<Vec<u64>>,
+    latency_us: Mutex<Samples>,
+    queue_wait_us: Mutex<Samples>,
+}
+
+/// The most recent [`LATENCY_SAMPLE_CAP`] microsecond samples, the oldest
+/// overwritten first, and how many were ever recorded.
+#[derive(Default)]
+struct Samples {
+    ring: Vec<u64>,
+    count: u64,
 }
 
 impl ServiceMetrics {
-    fn record_sample(samples: &Mutex<Vec<u64>>, us: u64) {
-        let mut v = samples.lock().unwrap_or_else(|e| e.into_inner());
-        if v.len() < LATENCY_SAMPLE_CAP {
-            v.push(us);
+    fn record_sample(samples: &Mutex<Samples>, us: u64) {
+        let mut s = samples.lock().unwrap_or_else(|e| e.into_inner());
+        let at = (s.count % LATENCY_SAMPLE_CAP as u64) as usize;
+        if at == s.ring.len() {
+            s.ring.push(us);
+        } else {
+            s.ring[at] = us;
         }
+        s.count += 1;
     }
 }
 
-/// Percentile summary over recorded microsecond samples.
+/// Percentile summary over recorded microsecond samples: `count` counts
+/// every sample, the percentiles and `max` cover the most recent 64 Ki.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LatencySummary {
     pub count: u64,
@@ -404,11 +417,14 @@ pub(crate) fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-fn summarize(samples: &Mutex<Vec<u64>>) -> LatencySummary {
-    let mut v = samples.lock().unwrap_or_else(|e| e.into_inner()).clone();
+fn summarize(samples: &Mutex<Samples>) -> LatencySummary {
+    let (mut v, count) = {
+        let s = samples.lock().unwrap_or_else(|e| e.into_inner());
+        (s.ring.clone(), s.count)
+    };
     v.sort_unstable();
     LatencySummary {
-        count: v.len() as u64,
+        count,
         p50_us: percentile(&v, 50.0),
         p95_us: percentile(&v, 95.0),
         p99_us: percentile(&v, 99.0),
@@ -859,6 +875,23 @@ mod tests {
         let b = shares.admit();
         assert_eq!(a.budget(), 0);
         assert_eq!(b.budget(), 0);
+    }
+
+    #[test]
+    fn latency_percentiles_cover_the_most_recent_samples() {
+        let samples = Mutex::new(Samples::default());
+        // 60,000 samples of 10 us, then 10,000 larger ones (60,000..69,999).
+        for i in 0..70_000u64 {
+            ServiceMetrics::record_sample(&samples, if i < 60_000 { 10 } else { i });
+        }
+        let s = summarize(&samples);
+        assert_eq!(s.count, 70_000, "count counts every sample");
+        assert_eq!(s.p50_us, 10);
+        // The window holds the last 65,536: 55,536 tens and all 10,000
+        // larger samples; rank 64,881 is the 9,345th of those.
+        assert_eq!(s.p99_us, 69_344);
+        assert_eq!(s.max_us, 69_999);
+        assert_eq!(samples.lock().unwrap().ring.len(), LATENCY_SAMPLE_CAP);
     }
 
     #[test]

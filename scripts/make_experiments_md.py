@@ -149,17 +149,6 @@ COMMENTARY = {
         "Beyond the paper: isolating design choices DESIGN.md calls out.",
         "",
     ),
-    "Stage 1": (
-        "Beyond the paper: SWAR stage-1 structural classification for "
-        "the index builder, DESIGN.md §11.",
-        "Measured: SWAR builds the index ~1.8-1.9x faster than the scalar "
-        "per-byte scan on GHCN-shaped files at every size (best-of and "
-        "paired-median estimators agree). End to end, Q0/Q0b gain only the "
-        "index build's Amdahl share, and single runs on this noisy host "
-        "scatter around it (0.94-1.25x). The SSE2/AVX2 kernels were "
-        "removed: they built the index ~10% faster than SWAR, which moved "
-        "the repository benchmark's end-to-end metrics by at most ~2%.",
-    ),
 }
 
 HEADER = """# EXPERIMENTS — paper vs. measured
