@@ -73,11 +73,11 @@ pub enum LogicalOp {
     /// item produced. `project` is the pushed-down path — the paper's
     /// "second argument" of DATASCAN (§4.2). Empty path = whole files.
     ///
-    /// `filter` is a reject-only pre-filter over `var`: a copy of the
-    /// conjuncts of the SELECT above the scan that the scan can test on
-    /// the raw record (see `push-select-into-datascan`). The scan may
-    /// drop an item only when the filter is surely false without error;
-    /// the SELECT stays in the plan as the exact check.
+    /// `filter` is the condition of the SELECT that
+    /// `push-select-into-datascan` moved into the scan, reading only
+    /// `var`. The scan evaluates it once per item and emits the item
+    /// exactly when the value is the boolean `true`, as the SELECT did;
+    /// an evaluation error fails the scan.
     DataScan {
         source: DataSource,
         project: ProjectionPath,

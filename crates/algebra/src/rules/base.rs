@@ -155,35 +155,38 @@ impl Rule for PushSelectIntoJoin {
 /// the query did not raise before.
 pub struct PushSideExpressionsBelowJoin;
 
-/// True when evaluating `e` can never return an error: it uses only
-/// navigation, the coercion scaffolding, comparisons and the boolean
-/// connectives, whose evaluation is total. `dateTime`, arithmetic and the
-/// aggregates can fail on the wrong input.
+/// True when evaluating `e` calls only [`total`] functions, so never fails.
 pub(crate) fn error_free(e: &LogicalExpr) -> bool {
-    use Function::*;
     match e {
         LogicalExpr::Var(_) | LogicalExpr::Const(_) => true,
-        LogicalExpr::Call(f, args) => {
-            matches!(
-                f,
-                Value
-                    | KeysOrMembers
-                    | Promote
-                    | Data
-                    | TreatItem
-                    | Iterate
-                    | Eq
-                    | Ne
-                    | Ge
-                    | Le
-                    | Gt
-                    | Lt
-                    | And
-                    | Or
-                    | Not
-            ) && args.iter().all(error_free)
-        }
+        LogicalExpr::Call(f, args) => total(*f) && args.iter().all(error_free),
     }
+}
+
+/// True when `f` returns a value for any arguments: navigation, the
+/// coercion scaffolding, comparisons and the boolean connectives.
+/// `dateTime` and its accessors, arithmetic and the aggregates can fail on
+/// the wrong input.
+pub(crate) fn total(f: Function) -> bool {
+    use Function::*;
+    matches!(
+        f,
+        Value
+            | KeysOrMembers
+            | Promote
+            | Data
+            | TreatItem
+            | Iterate
+            | Eq
+            | Ne
+            | Ge
+            | Le
+            | Gt
+            | Lt
+            | And
+            | Or
+            | Not
+    )
 }
 
 /// The one side (0 = left, 1 = right) whose variables are all `e` reads;

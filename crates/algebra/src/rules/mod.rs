@@ -20,9 +20,9 @@
 //! Two rules are not the paper's, and share one flag,
 //! [`RuleConfig::beyond_paper`], on only in [`RuleConfig::all`]; the
 //! paper's figures run [`RuleConfig::paper`], which turns it off:
-//! `push-select-into-datascan` gives the DATASCAN a reject-only copy of
-//! the SELECT above it, tested on the raw record before the record is
-//! written (Sparser-style raw filtering); `push-aggregate-below-join`
+//! `push-select-into-datascan` moves the SELECT above a DATASCAN into
+//! the scan, which tests each raw record once before writing it
+//! (Sparser-style raw filtering); `push-aggregate-below-join`
 //! aggregates each side of an equi-join per join key before the join
 //! (Yan and Larson's eager aggregation). An ablation switches one of them
 //! by name with [`RuleSet::without`].
@@ -55,8 +55,8 @@ pub struct RuleConfig {
     pub group_by_rules: bool,
     /// Two-step (local/global) aggregation at the physical level.
     pub two_step_aggregation: bool,
-    /// The rules beyond the paper: copy SELECT conjuncts into the
-    /// DATASCAN as a reject-only tape filter (`push-select-into-datascan`;
+    /// The rules beyond the paper: move the SELECT above a DATASCAN into
+    /// the scan as its filter (`push-select-into-datascan`;
     /// needs the pipelining rules, which introduce the DATASCAN), and
     /// aggregate each join side before the join
     /// (`push-aggregate-below-join`; needs the group-by rules).

@@ -32,6 +32,18 @@ fn unwrap_value_chain(e: &LogicalExpr) -> Option<(VarId, Vec<PathStep>)> {
     }
 }
 
+/// The variable an UNNEST expression iterates: the base of a `value`
+/// chain under `iterate` and `keys-or-members`, which all map the empty
+/// sequence to itself, so the UNNEST emits nothing where it is empty.
+fn iterated_var(e: &LogicalExpr) -> Option<VarId> {
+    match e {
+        LogicalExpr::Call(Function::Iterate | Function::KeysOrMembers, args) if args.len() == 1 => {
+            iterated_var(&args[0])
+        }
+        _ => unwrap_value_chain(e).map(|(v, _)| v),
+    }
+}
+
 /// Replace `ASSIGN $v := collection(path)` + `UNNEST $u := iterate($v)`
 /// with `DATASCAN $u <- collection(path)` (paper Fig. 5 → Fig. 6):
 /// "DATASCAN replaces both the ASSIGN collection and the UNNEST iterate".
@@ -96,6 +108,11 @@ impl Rule for IntroduceDataScan {
 /// "We can merge the value expressions with DATASCAN by adding a second
 /// argument to it."
 ///
+/// The scan emits nothing for a record the chain finds nothing in, where
+/// the ASSIGN keeps the tuple with the empty sequence. So the merge fires
+/// only when the ASSIGN's one use is an UNNEST iterating it
+/// (`iterated_var`, as in the paper's plans), which drops that tuple.
+///
 /// `max_steps` caps the projection depth; the AsterixDB baseline uses a
 /// document-boundary cap (its scans materialize whole records).
 #[derive(Default)]
@@ -110,6 +127,12 @@ impl Rule for PushValueIntoDataScan {
 
     fn apply(&self, plan: &mut LogicalPlan) -> bool {
         let counts = var_use_counts(&plan.root);
+        let mut iterated = Vec::new();
+        plan.root.visit(&mut |op| {
+            if let LogicalOp::Unnest { expr, .. } = op {
+                iterated.extend(iterated_var(expr));
+            }
+        });
         transform_bottom_up(&mut plan.root, &mut |op| {
             let LogicalOp::Assign {
                 var: a,
@@ -119,6 +142,9 @@ impl Rule for PushValueIntoDataScan {
             else {
                 return false;
             };
+            if !iterated.contains(a) || counts.get(a).copied().unwrap_or(0) != 1 {
+                return false;
+            }
             let Some((base, steps)) = unwrap_value_chain(expr) else {
                 return false;
             };
@@ -296,73 +322,35 @@ impl Rule for PushIterateValueChainIntoDataScan {
     }
 }
 
-/// Copy the conjuncts of a SELECT that the scan can test on the raw
-/// record into the DATASCAN below it, as the scan's reject-only `filter`:
-/// SELECT ← ASSIGN* ← DATASCAN becomes the same plan with
-/// `DATASCAN(..., filter)`. The ASSIGN variables the conjuncts read are
-/// inlined, so the filter reads only the scan variable. The SELECT and
-/// the ASSIGNs stay: the filter only lets the scan skip records the
-/// SELECT would surely drop, and the SELECT still decides the rest.
+/// Move the SELECT above a DATASCAN into the scan: SELECT ← ASSIGN* ←
+/// DATASCAN becomes ASSIGN* ← DATASCAN(..., filter), the filter being the
+/// whole condition with the chain's ASSIGNs inlined, over the scan
+/// variable alone. The scan keeps a record exactly when the filter is the
+/// boolean `true`, as the SELECT does, and fails with the SELECT's error.
+/// `remove-dead-assign` then drops the ASSIGNs only the SELECT read.
 ///
-/// The scan evaluates [`tape_evaluable`] expressions. A record the filter
-/// rejects never reaches the operators above, so an error they would have
-/// raised on it would be lost. The rule therefore does not fire when a
-/// conjunct left out of the filter, or an ASSIGN of the chain the filter
-/// does not evaluate, could fail (`base::error_free`); the
-/// filter itself lets through every record it cannot evaluate without
-/// error.
+/// The rule declines when an ASSIGN the condition does not read can fail
+/// (`base::error_free`): a record the scan drops never reaches it. It
+/// also declines unless the filter, evaluated in lowering order, meets a
+/// record's fallible subexpressions in the SELECT path's order (the
+/// chain's ASSIGNs bottom-up, then the condition), so that both raise the
+/// same error.
 pub struct PushSelectIntoDataScan;
 
-/// True when `e` is in the grammar the scan's tape filter evaluates over
-/// the scan variable `var`: paths ([`tape_path`]), atomic constants,
-/// `dateTime(path)`, the year/month/day accessors, the six comparisons
-/// and `and`/`or`/`not`, each through the `promote`/`data`/`treat`
-/// scaffolding.
-pub fn tape_evaluable(e: &LogicalExpr, var: VarId) -> bool {
-    use Function::*;
-    match e {
-        LogicalExpr::Var(_) => tape_path(e, var).is_some(),
-        LogicalExpr::Const(item) => {
-            !matches!(item, Item::Sequence(_) | Item::Array(_) | Item::Object(_))
-        }
-        LogicalExpr::Call(f, args) => match (f, args.as_slice()) {
-            (Value, _) => tape_path(e, var).is_some(),
-            (Promote | Data | TreatItem, [a]) => tape_evaluable(a, var),
-            (DateTime, [a]) => tape_path(a, var).is_some(),
-            (YearFromDateTime | MonthFromDateTime | DayFromDateTime | Not, [a]) => {
-                tape_evaluable(a, var)
-            }
-            (Eq | Ne | Ge | Le | Gt | Lt, [l, r]) => {
-                tape_evaluable(l, var) && tape_evaluable(r, var)
-            }
-            (And | Or, [_, ..]) => args.iter().all(|a| tape_evaluable(a, var)),
-            _ => false,
-        },
-    }
-}
-
-/// The keys of a tape path: `var` under `value` steps with constant
-/// string keys, through the coercion scaffolding. `None` for anything
-/// else.
-pub fn tape_path(e: &LogicalExpr, var: VarId) -> Option<Vec<String>> {
-    match e {
-        LogicalExpr::Var(v) if *v == var => Some(Vec::new()),
-        LogicalExpr::Call(Function::Value, args) => match args.as_slice() {
-            [base, LogicalExpr::Const(Item::String(k))] => {
-                let mut keys = tape_path(base, var)?;
-                keys.push(k.to_string());
-                Some(keys)
-            }
-            _ => None,
-        },
-        LogicalExpr::Call(Function::Promote | Function::Data | Function::TreatItem, args) => {
-            match args.as_slice() {
-                [a] => tape_path(a, var),
-                _ => None,
+/// The calls of `exprs` that can fail, in lowering order (arguments
+/// first, left to right), each distinct one where it first occurs.
+fn fallible_calls<'e>(exprs: impl IntoIterator<Item = &'e LogicalExpr>) -> Vec<LogicalExpr> {
+    fn walk(e: &LogicalExpr, out: &mut Vec<LogicalExpr>) {
+        if let LogicalExpr::Call(f, args) = e {
+            args.iter().for_each(|a| walk(a, out));
+            if !super::base::total(*f) && !out.contains(e) {
+                out.push(e.clone());
             }
         }
-        _ => None,
     }
+    let mut out = Vec::new();
+    exprs.into_iter().for_each(|e| walk(e, &mut out));
+    out
 }
 
 /// The filter for a SELECT with condition `cond` over `input`, when
@@ -384,27 +372,19 @@ fn scan_filter(cond: &LogicalExpr, input: &LogicalOp) -> Option<LogicalExpr> {
             _ => return None,
         }
     };
-    let mut kept = Vec::new();
-    let mut read: Vec<VarId> = Vec::new();
-    for c in cond.conjuncts() {
-        let mut inlined = c.clone();
-        // Each ASSIGN reads only the ones below it, so one pass from the
-        // top inlines the whole chain.
-        for (v, e) in &chain {
-            inlined.substitute_var_expr(*v, e);
+    // Each ASSIGN reads only the ones below it, so one pass from the top
+    // inlines the whole chain.
+    let inline = |e: &LogicalExpr| {
+        let mut e = e.clone();
+        for (v, x) in &chain {
+            e.substitute_var_expr(*v, x);
         }
-        if tape_evaluable(&inlined, scan_var) {
-            c.collect_vars(&mut read);
-            kept.push(inlined);
-        } else if !super::base::error_free(c) {
-            return None;
-        }
-    }
-    if kept.is_empty() {
-        return None;
-    }
-    // The ASSIGNs the filter evaluates: those its conjuncts read, directly
-    // or through another ASSIGN. Every other one must be unable to fail.
+        e
+    };
+    // The ASSIGNs the condition reads, directly or through another one.
+    // Every other one must be unable to fail.
+    let mut read = Vec::new();
+    cond.collect_vars(&mut read);
     for (v, e) in &chain {
         if read.contains(v) {
             e.collect_vars(&mut read);
@@ -412,7 +392,20 @@ fn scan_filter(cond: &LogicalExpr, input: &LogicalOp) -> Option<LogicalExpr> {
             return None;
         }
     }
-    Some(LogicalExpr::conjoin(kept))
+    if !read
+        .iter()
+        .all(|v| *v == scan_var || chain.iter().any(|(c, _)| c == v))
+    {
+        return None;
+    }
+    // One flat conjunction: the same value and the same evaluation order.
+    let filter = LogicalExpr::conjoin(inline(cond).conjuncts().into_iter().cloned().collect());
+    let read_assigns: Vec<LogicalExpr> = (chain.iter().rev())
+        .filter(|(v, _)| read.contains(v))
+        .map(|(_, e)| inline(e))
+        .collect();
+    let select_order = fallible_calls(read_assigns.iter().chain([&filter]));
+    (select_order == fallible_calls([&filter])).then_some(filter)
 }
 
 impl Rule for PushSelectIntoDataScan {
@@ -428,7 +421,8 @@ impl Rule for PushSelectIntoDataScan {
             let Some(new_filter) = scan_filter(cond, input) else {
                 return false;
             };
-            let mut scan = input.as_mut();
+            let mut chain = take_op(input);
+            let mut scan = &mut chain;
             while let LogicalOp::Assign { input, .. } = scan {
                 scan = input;
             }
@@ -436,6 +430,7 @@ impl Rule for PushSelectIntoDataScan {
                 unreachable!("scan_filter found a DATASCAN under the chain");
             };
             *filter = Some(new_filter);
+            *op = chain;
             true
         })
     }
@@ -525,6 +520,57 @@ mod tests {
     }
 
     #[test]
+    fn a_value_chain_merges_only_under_an_unnest_that_iterates_it() {
+        // DISTRIBUTE [$1] <- ASSIGN $1 := value($0, "v") <- DATASCAN $0: a
+        // record without "v" keeps its tuple, bound to the empty sequence;
+        // a projecting scan would emit nothing for it.
+        let scan = LogicalOp::DataScan {
+            source: DataSource {
+                path: "/s".into(),
+                partitioned: true,
+            },
+            project: ProjectionPath::root(),
+            filter: None,
+            var: VarId(0),
+            input: Box::new(LogicalOp::EmptyTupleSource),
+        };
+        let assign = LogicalOp::Assign {
+            var: VarId(1),
+            expr: LogicalExpr::value_key(LogicalExpr::Var(VarId(0)), "v"),
+            input: Box::new(scan),
+        };
+        let mut returned = LogicalPlan::new(LogicalOp::Distribute {
+            exprs: vec![LogicalExpr::Var(VarId(1))],
+            input: Box::new(assign.clone()),
+        });
+        assert!(!PushValueIntoDataScan::default().apply(&mut returned));
+        // Iterated (`for $y in $x("a")()`), an empty value emits no tuple
+        // either way, so the chain merges.
+        let mut iterated = LogicalPlan::new(LogicalOp::Distribute {
+            exprs: vec![LogicalExpr::Var(VarId(2))],
+            input: Box::new(LogicalOp::Unnest {
+                var: VarId(2),
+                expr: LogicalExpr::Call(
+                    Function::Iterate,
+                    vec![LogicalExpr::Call(
+                        Function::KeysOrMembers,
+                        vec![LogicalExpr::value_key(LogicalExpr::Var(VarId(1)), "a")],
+                    )],
+                ),
+                input: Box::new(assign),
+            }),
+        });
+        assert!(PushValueIntoDataScan::default().apply(&mut iterated));
+        assert!(
+            iterated
+                .explain()
+                .contains(r#"data-scan $1 <- collection("/s") project ("v")"#),
+            "{}",
+            iterated.explain()
+        );
+    }
+
+    #[test]
     fn datascan_not_introduced_when_sequence_reused() {
         let mut plan = fig5_plan();
         if let LogicalOp::Distribute { exprs, .. } = &mut plan.root {
@@ -571,8 +617,12 @@ mod tests {
         LogicalExpr::Var(VarId(v))
     }
 
+    fn lit(item: Item) -> LogicalExpr {
+        LogicalExpr::Const(item)
+    }
+
     #[test]
-    fn select_is_copied_into_the_scan_with_its_assigns_inlined() {
+    fn select_moves_into_the_scan_with_its_assigns_inlined() {
         // SELECT eq(month($2), 12) and eq($1, "x") over $2 := dateTime($1),
         // $1 := value($0, "d").
         let cond = call(
@@ -582,13 +632,10 @@ mod tests {
                     Function::Eq,
                     vec![
                         call(Function::MonthFromDateTime, vec![var(2)]),
-                        LogicalExpr::Const(Item::int(12)),
+                        lit(Item::int(12)),
                     ],
                 ),
-                call(
-                    Function::Eq,
-                    vec![var(1), LogicalExpr::Const(Item::str("x"))],
-                ),
+                call(Function::Eq, vec![var(1), lit(Item::str("x"))]),
             ],
         );
         let mut plan = select_over_scan(
@@ -598,7 +645,6 @@ mod tests {
                 (1, LogicalExpr::value_key(var(0), "d")),
             ],
         );
-        let before = plan.shape();
         assert!(PushSelectIntoDataScan.apply(&mut plan));
         let text = plan.explain();
         assert!(
@@ -607,22 +653,35 @@ mod tests {
             ),
             "{text}"
         );
-        assert_eq!(plan.shape(), before, "the SELECT and ASSIGNs stay");
+        assert_eq!(
+            plan.shape(),
+            vec![
+                "distribute",
+                "assign",
+                "assign",
+                "data-scan",
+                "empty-tuple-source"
+            ],
+            "the SELECT is gone, the ASSIGNs stay: {text}"
+        );
         assert!(!PushSelectIntoDataScan.apply(&mut plan), "fires once");
         // The filter's two reads of the scan variable count as uses (with
         // the ASSIGN's and the DISTRIBUTE's), so no pushdown rule, which
         // needs a single use, can rebind the variable under the filter.
         assert_eq!(plan.root.var_use_count(VarId(0)), 4);
+        // Only the SELECT read the ASSIGNs: they are dead now.
+        while super::super::base::RemoveDeadAssign.apply(&mut plan) {}
+        assert_eq!(
+            plan.shape(),
+            vec!["distribute", "data-scan", "empty-tuple-source"]
+        );
     }
 
     #[test]
     fn select_stays_out_of_the_scan_when_a_bypassed_expression_can_fail() {
         let tmin = call(
             Function::Eq,
-            vec![
-                LogicalExpr::value_key(var(0), "t"),
-                LogicalExpr::Const(Item::str("TMIN")),
-            ],
+            vec![LogicalExpr::value_key(var(0), "t"), lit(Item::str("TMIN"))],
         );
         // An ASSIGN the filter does not read, which can fail.
         let failing = call(
@@ -631,68 +690,88 @@ mod tests {
         );
         let mut plan = select_over_scan(tmin.clone(), vec![(1, failing.clone())]);
         assert!(!PushSelectIntoDataScan.apply(&mut plan));
-        // A conjunct the tape cannot test, which can fail.
+        // A conjunct that can fail goes with the rest: the scan raises
+        // its error.
         let arith = call(
             Function::Gt,
             vec![
                 call(
                     Function::Sub,
-                    vec![var(0), LogicalExpr::Const(Item::int(1))],
+                    vec![LogicalExpr::value_key(var(0), "v"), lit(Item::int(1))],
                 ),
-                LogicalExpr::Const(Item::int(0)),
+                lit(Item::int(0)),
             ],
         );
-        let cond = call(Function::And, vec![tmin.clone(), arith]);
-        let mut plan = select_over_scan(cond, vec![]);
-        assert!(!PushSelectIntoDataScan.apply(&mut plan));
-        // The same failing ASSIGN, read by the filter: its failure leaves
-        // the record undecided, so the rule fires.
+        let cond = call(Function::And, vec![tmin.clone(), arith.clone()]);
+        let mut plan = select_over_scan(cond.clone(), vec![]);
+        assert!(PushSelectIntoDataScan.apply(&mut plan));
+        assert!(
+            plan.explain().contains(&format!("filter {cond}")),
+            "{}",
+            plan.explain()
+        );
+        // The same failing ASSIGN, read by the condition: the scan raises
+        // its error, so the rule fires.
         let year = call(
             Function::Ge,
             vec![
                 call(Function::YearFromDateTime, vec![var(1)]),
-                LogicalExpr::Const(Item::int(2003)),
+                lit(Item::int(2003)),
             ],
         );
-        let mut plan = select_over_scan(year, vec![(1, failing)]);
+        let mut plan = select_over_scan(year.clone(), vec![(1, failing.clone())]);
         assert!(PushSelectIntoDataScan.apply(&mut plan));
-        // Nothing to copy: no fire.
+        // A condition reading a variable the chain does not bind.
         let other = call(Function::Eq, vec![var(0), var(9)]);
         let mut plan = select_over_scan(other, vec![]);
         assert!(!PushSelectIntoDataScan.apply(&mut plan));
     }
 
     #[test]
-    fn tape_grammar() {
-        let v = VarId(0);
-        let path = LogicalExpr::value_key(call(Function::Data, vec![var(0)]), "k");
-        assert!(tape_evaluable(&path, v));
-        assert!(tape_evaluable(
-            &call(Function::DateTime, vec![path.clone()]),
-            v
-        ));
-        assert!(!tape_evaluable(&path, VarId(1)));
-        // Numeric index steps, keys-or-members and arithmetic are out.
-        let index = call(
-            Function::Value,
-            vec![var(0), LogicalExpr::Const(Item::int(1))],
+    fn select_stays_out_of_the_scan_when_the_error_order_differs() {
+        // $1 := dateTime(value($0, "d")) fails before the condition in
+        // the SELECT path. With the failing arithmetic first in the
+        // condition, the filter would meet it first.
+        let failing = call(
+            Function::DateTime,
+            vec![LogicalExpr::value_key(var(0), "d")],
         );
-        assert!(!tape_evaluable(&index, v));
-        assert!(!tape_evaluable(
-            &call(Function::KeysOrMembers, vec![var(0)]),
-            v
-        ));
-        assert!(!tape_evaluable(
-            &call(Function::Add, vec![path.clone(), path.clone()]),
-            v
-        ));
-        // dateTime only of a path; no sequence constants; no empty `and`.
-        assert!(!tape_evaluable(
-            &call(Function::DateTime, vec![LogicalExpr::Const(Item::str("x"))]),
-            v
-        ));
-        assert!(!tape_evaluable(&LogicalExpr::Const(Item::empty()), v));
-        assert!(!tape_evaluable(&call(Function::And, vec![]), v));
+        let year = call(
+            Function::Ge,
+            vec![
+                call(Function::YearFromDateTime, vec![var(1)]),
+                lit(Item::int(2003)),
+            ],
+        );
+        let arith = call(
+            Function::Gt,
+            vec![
+                call(
+                    Function::Sub,
+                    vec![LogicalExpr::value_key(var(0), "v"), lit(Item::int(1))],
+                ),
+                lit(Item::int(0)),
+            ],
+        );
+        let arith_first = call(Function::And, vec![arith.clone(), year.clone()]);
+        let mut plan = select_over_scan(arith_first, vec![(1, failing.clone())]);
+        assert!(!PushSelectIntoDataScan.apply(&mut plan));
+        let date_first = call(Function::And, vec![year, arith]);
+        let mut plan = select_over_scan(date_first, vec![(1, failing.clone())]);
+        assert!(PushSelectIntoDataScan.apply(&mut plan));
+        // Two failing ASSIGNs: the filter must meet them in chain order.
+        // $2 := dateTime(value($0, "e")) over $1: the SELECT path fails
+        // on $1 first, so the condition must read $1 first too.
+        let second = call(
+            Function::DateTime,
+            vec![LogicalExpr::value_key(var(0), "e")],
+        );
+        let both = |a: u32, b: u32| call(Function::Lt, vec![var(a), var(b)]);
+        let chain = || vec![(2, second.clone()), (1, failing.clone())];
+        let mut plan = select_over_scan(both(2, 1), chain());
+        assert!(!PushSelectIntoDataScan.apply(&mut plan));
+        let mut plan = select_over_scan(both(1, 2), chain());
+        assert!(PushSelectIntoDataScan.apply(&mut plan));
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub fn two_step(h: &Harness) -> Vec<Table> {
     vec![t]
 }
 
-/// The DATASCAN's tape filter (`push-select-into-datascan`) off and on,
+/// The DATASCAN's filter (`push-select-into-datascan`) off and on,
 /// everything else as in [`RuleConfig::all`]: the filtering queries on
 /// one file split over two partitions, the shape where the scan layers
 /// and the per-record ASSIGN/SELECT work dominate.
@@ -102,9 +102,10 @@ pub fn scan_filter(h: &Harness) -> Vec<Table> {
             format!("{} / {}", emitted(&e_off), emitted(&e_on)),
         ]);
     }
-    t.note = "The filter skips, before they are written, the records the SELECT would drop: \
-              Q0/Q0b keep ~0.2% of their records, Q1 and each side of Q2 about a third. The \
-              SELECT stays and decides every record the filter lets through."
+    t.note = "Off runs the SELECT above the scan; on moves it into the scan, which tests \
+              each record once and skips, before they are written, the records the SELECT \
+              would drop: Q0/Q0b keep ~0.2% of their records, Q1 and each side of Q2 about \
+              a third."
         .into();
     vec![t]
 }

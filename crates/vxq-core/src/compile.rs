@@ -13,7 +13,7 @@
 //! | logical shape | physical realization |
 //! |---|---|
 //! | `DATASCAN(project)` | partitioned projecting file scan |
-//! | `DATASCAN(project, filter)` | the same scan, skipping records the [`TapeFilter`] rejects |
+//! | `DATASCAN(project, filter)` | the same scan, writing only the records the filter keeps ([`crate::tapefilter::keeps`]) |
 //! | `ASSIGN collection` (naive) | single-partition whole-collection scan |
 //! | `GROUP-BY + AGGREGATE sequence` | hash exchange + materializing group-by |
 //! | `GROUP-BY + incremental agg` | [local group-by +] hash exchange + group-by |
@@ -29,7 +29,6 @@ use crate::scan::{
     resolve_collection, EmptyTupleSourceFactory, ProjectedScanFactory, ScanOptions,
     WholeCollectionScanFactory,
 };
-use crate::tapefilter::TapeFilter;
 use algebra::expr::{AggFunc, Function, LogicalExpr};
 use algebra::plan::{LogicalOp, LogicalPlan, VarGen, VarId};
 use dataflow::job::{
@@ -537,7 +536,7 @@ impl<'a> Compiler<'a> {
                         project.clone(),
                         filter
                             .as_ref()
-                            .map(|f| TapeFilter::compile(f, *var))
+                            .map(|f| RtExpr::compile(f, &[*var], None))
                             .transpose()?,
                         &self.opts.cluster,
                         &self.opts.scan,

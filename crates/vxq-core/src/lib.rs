@@ -18,10 +18,10 @@
 //! * [`scan`] — DATASCAN runtimes: the projecting partitioned file scan
 //!   (post-pipelining-rules) and the naive whole-collection /
 //!   single-document scans (pre-rules).
-//! * [`tapefilter`] — the DATASCAN's reject-only filter: the SELECT's
-//!   condition, copied into the scan by `push-select-into-datascan`,
-//!   evaluated by [`rtexpr`] on the structural-index tape before a
-//!   record is written.
+//! * [`tapefilter`] — the DATASCAN's filter: the SELECT's condition,
+//!   moved into the scan by `push-select-into-datascan`, evaluated once
+//!   per record by [`rtexpr`] on a view of the structural-index tape (or
+//!   of a binary `.adm` item) before the record is written.
 //! * [`compile`] — physical planning: stage splitting, exchange insertion,
 //!   two-step aggregation, join key extraction; logical plan → [`dataflow::JobSpec`].
 //! * [`engine`] — the public API: [`Engine`] executes queries on a

@@ -8,8 +8,9 @@
 //!   projector ([`jdm::project`]), one tuple per item. Each item is
 //!   written in the binary format directly from the index tape
 //!   ([`StructuralIndex::write_binary_at`]); no `Item` tree is built.
-//!   When the DATASCAN has a filter, a record its [`TapeFilter`] rejects
-//!   is skipped before it is written. Partitioned-parallel, bounded
+//!   When the DATASCAN has a filter, each projected record is tested
+//!   once ([`keeps`]) and only the records it keeps are written; an
+//!   evaluation error fails the scan. Partitioned-parallel, bounded
 //!   memory.
 //! * [`WholeCollectionScanFactory`] — the naive `ASSIGN collection(...)`:
 //!   a *single* partition parses every file completely and emits **one
@@ -54,7 +55,8 @@
 //! engine's [`ScanBufferPool`] as soon as the file's last split finishes.
 
 use crate::pool::ScanBufferPool;
-use crate::tapefilter::TapeFilter;
+use crate::rtexpr::RtExpr;
+use crate::tapefilter::{keeps, TapeView};
 use dataflow::context::TaskContext;
 use dataflow::ops::eval::{ScanSource, ScanSourceFactory, TupleEmitter};
 use dataflow::profile::SplitProfile;
@@ -395,19 +397,19 @@ fn assign_splits(
 pub struct ProjectedScanFactory {
     plan: Arc<ScanPlan>,
     project: ProjectionPath,
-    filter: Option<Arc<TapeFilter>>,
+    filter: Option<Arc<RtExpr>>,
     stage1: Stage1Mode,
     pool: Arc<ScanBufferPool>,
 }
 
 impl ProjectedScanFactory {
     /// Plan the scan of the collection at `dir` for `cluster`: the one
-    /// listing of this DATASCAN for this execution. Records `filter`
-    /// rejects are skipped before they are written (JSON text only).
+    /// listing of this DATASCAN for this execution. Only the records
+    /// `filter` (compiled over the scan variable alone) keeps are written.
     pub fn new(
         dir: &Path,
         project: ProjectionPath,
-        filter: Option<TapeFilter>,
+        filter: Option<RtExpr>,
         cluster: &ClusterSpec,
         options: &ScanOptions,
         pool: Arc<ScanBufferPool>,
@@ -450,7 +452,7 @@ impl ScanSourceFactory for ProjectedScanFactory {
 struct ProjectedScan {
     plan: Arc<ScanPlan>,
     project: ProjectionPath,
-    filter: Option<Arc<TapeFilter>>,
+    filter: Option<Arc<RtExpr>>,
     ctx: TaskContext,
     pool: Arc<ScanBufferPool>,
     stage1: Stage1Mode,
@@ -548,49 +550,60 @@ impl Drop for LoadedFile {
 
 impl LoadedFile {
     /// Project `split` through `project`, handing the binary bytes of
-    /// each matched item that `filter` does not reject to `sink` until it
-    /// returns false. Returns the records the split covered, the items it
+    /// each matched item that `filter` keeps to `sink` until it returns
+    /// false. Returns the records the split covered, the items it
     /// projected (and tested) and the bytes of the file it was
-    /// responsible for. Binary `.adm` items are not filtered.
+    /// responsible for.
     fn project(
         &self,
         file: &PlannedFile,
         split: &ScanSplit,
         project: &ProjectionPath,
-        filter: Option<&TapeFilter>,
+        filter: Option<&RtExpr>,
         out: &mut Vec<u8>,
         sink: &mut dyn FnMut(&[u8]) -> bool,
     ) -> Result<(u64, u64, u64)> {
         let src_err =
             |e: jdm::JdmError| DataflowError::Source(format!("{}: {e}", file.path.display()));
         let (buf, whole) = (&self.bytes[..], self.bytes.len() as u64);
-        let mut matched = 0u64;
+        let (mut matched, mut failed) = (0u64, None);
+        // Count a projected record and take the filter's verdict; `None`
+        // once the filter failed, which stops the scan with its error.
+        let mut test = |verdict: Result<bool>| {
+            matched += 1;
+            verdict.map_err(|e| failed = Some(e)).ok()
+        };
         let Some((index, table)) = &self.text else {
             let root = ItemRef::new(buf).map_err(src_err)?;
             project_binary(root, project.steps(), &mut |item| {
-                matched += 1;
-                sink(item)
+                let verdict = test(filter.map_or(Ok(true), |f| keeps(f, item)));
+                verdict.is_some_and(|keep| !keep || sink(item.bytes()))
             });
-            return Ok((matched, matched, whole));
+            return failed.map_or(Ok((matched, matched, whole)), Err);
         };
         let emit = |node: usize| -> jdm::Result<bool> {
-            matched += 1;
-            if filter.is_some_and(|f| f.test(index, buf, node) == Some(false)) {
-                return Ok(true);
+            let record = TapeView::new(index, buf, node);
+            match test(filter.map_or(Ok(true), |f| keeps(f, record))) {
+                Some(true) => {
+                    out.clear();
+                    index.write_binary_at(buf, node, out)?;
+                    Ok(sink(out))
+                }
+                verdict => Ok(verdict.is_some()),
             }
-            out.clear();
-            index.write_binary_at(buf, node, out)?;
-            Ok(sink(out))
         };
         let Some(table) = table else {
             project_indexed_nodes(buf, index, project, emit).map_err(src_err)?;
-            return Ok((matched, matched, whole));
+            return failed.map_or(Ok((matched, matched, whole)), Err);
         };
         let n = table.len();
         let (lo, hi) = (n * split.split / split.of, n * (split.split + 1) / split.of);
         table
             .project_range_nodes(buf, index, project, lo..hi, emit)
             .map_err(src_err)?;
+        if let Some(e) = failed {
+            return Err(e);
+        }
         let bytes = match split.of {
             1 => whole,
             _ if hi > lo => (table.records[hi - 1].end - table.records[lo].start) as u64,
@@ -602,13 +615,13 @@ impl LoadedFile {
 
 /// Navigate a binary item along a projection path, handing matches to
 /// `sink`; returns false once `sink` asked to stop.
-fn project_binary(
-    item: ItemRef<'_>,
+fn project_binary<'a>(
+    item: ItemRef<'a>,
     steps: &[PathStep],
-    sink: &mut dyn FnMut(&[u8]) -> bool,
+    sink: &mut dyn FnMut(ItemRef<'a>) -> bool,
 ) -> bool {
     let Some((first, rest)) = steps.split_first() else {
-        return sink(item.bytes());
+        return sink(item);
     };
     match first {
         PathStep::Key(k) => item

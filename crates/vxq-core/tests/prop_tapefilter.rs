@@ -1,20 +1,25 @@
-//! The DATASCAN's tape filter against the SELECT it is copied from.
+//! The DATASCAN's filter against the SELECT it replaces.
 //!
 //! Records are random JSON text (missing and duplicate keys, escaped keys
-//! and strings, ints, doubles and exponents, nested values, good and bad
-//! dates); filters are random expressions of the grammar
-//! `push-select-into-datascan` copies into the scan. The filter leaves a
-//! record undecided exactly when `RtExpr::eval_ref` on the bytes the scan
-//! writes for that record fails, and otherwise decides it with the same
-//! effective boolean value; in particular a rejected record is one the
-//! SELECT drops without an error. On GHCN records, the filters of the
-//! paper's queries decide every record.
+//! and strings, ints, doubles, exponents and integers near `i64::MAX`,
+//! nested values, good and bad dates). Conditions are random expressions
+//! over the record, as `push-select-into-datascan` moves them into the
+//! scan: paths of key and numeric index steps, `keys-or-members`,
+//! constants, `dateTime` and its accessors, arithmetic, the comparisons
+//! and `and`/`or`/`not` (also of non-booleans), and a bare path as the
+//! whole condition. The scan's verdict ([`keeps`]) on the record's tape
+//! node, and on the binary item an `.adm` file holds, is the SELECT's:
+//! it keeps the record exactly when `SelectOp` keeps the tuple (the
+//! value written starts with `tag::TRUE`), and it fails exactly when
+//! `RtExpr::eval_ref` on the bytes the scan writes fails, with the
+//! `DataflowError::Eval` and the text the SELECT's evaluator gives. On
+//! GHCN records, the filters of the paper's queries never fail.
 
 use algebra::expr::{Function, LogicalExpr};
 use algebra::plan::{LogicalOp, VarId};
-use algebra::rules::pipelining::tape_evaluable;
 use algebra::rules::{RuleConfig, RuleSet};
 use dataflow::frame::frames_from_rows;
+use dataflow::DataflowError;
 use jdm::binary::{tag, ItemRef};
 use jdm::index::StructuralIndex;
 use jdm::project::project_indexed_nodes;
@@ -22,7 +27,7 @@ use jdm::{Item, ProjectionPath};
 use proptest::prelude::*;
 use proptest::{BoxedStrategy, TestRng};
 use vxq_core::rtexpr::RtExpr;
-use vxq_core::tapefilter::TapeFilter;
+use vxq_core::tapefilter::{keeps, TapeView};
 
 /// Keys records use and filters read: `date` is an escaped "date".
 const KEYS: [&str; 5] = ["date", "v", "t", "d\\u0061te", "n"];
@@ -59,6 +64,9 @@ fn value_text(rng: &mut TestRng, depth: u32) -> String {
         r#""20131224T00:00""#,
         r#""garbage""#,
         r#""2013122""#,
+        "9223372036854775807",
+        "-9223372036854775808",
+        "9223372036854775806",
     ];
     match rng.below(if depth == 0 { 8 } else { 10 }) {
         8 => record_text(rng, depth - 1),
@@ -129,19 +137,28 @@ fn scaffold(rng: &mut TestRng, e: LogicalExpr) -> LogicalExpr {
     }
 }
 
-/// The scan variable under zero to two constant-key `value` steps.
+/// The scan variable under zero to two `value` steps, mostly constant
+/// keys, sometimes a numeric index, sometimes through `keys-or-members`.
 fn path(rng: &mut TestRng) -> LogicalExpr {
     let mut e = var();
     let steps = [0, 1, 1, 1, 1, 1, 1, 2, 2][rng.below(9) as usize];
     for _ in 0..steps {
-        e = LogicalExpr::value_key(e, pick(rng, &FILTER_KEYS));
+        e = match rng.below(10) {
+            0 => call(
+                Function::Value,
+                vec![e, LogicalExpr::Const(Item::int(rng.below(4) as i64 - 1))],
+            ),
+            1 => call(Function::KeysOrMembers, vec![e]),
+            _ => LogicalExpr::value_key(e, pick(rng, &FILTER_KEYS)),
+        };
         e = scaffold(rng, e);
     }
     e
 }
 
 fn constant(rng: &mut TestRng) -> LogicalExpr {
-    LogicalExpr::Const(match rng.below(9) {
+    LogicalExpr::Const(match rng.below(10) {
+        9 => Item::int(i64::MAX),
         0 => Item::Null,
         1 => Item::Boolean(rng.below(2) == 0),
         2 => Item::int(2003),
@@ -155,12 +172,22 @@ fn constant(rng: &mut TestRng) -> LogicalExpr {
 }
 
 /// A comparison operand.
-fn operand(rng: &mut TestRng) -> LogicalExpr {
+fn operand(rng: &mut TestRng, depth: u32) -> LogicalExpr {
     let date = |rng: &mut TestRng| call(Function::DateTime, vec![path(rng)]);
-    let e = match rng.below(7) {
+    let e = match rng.below(if depth == 0 { 7 } else { 9 }) {
         0 | 1 => path(rng),
         2 => constant(rng),
         3 => date(rng),
+        7 | 8 => {
+            let f = [
+                Function::Add,
+                Function::Sub,
+                Function::Mul,
+                Function::Div,
+                Function::IDiv,
+            ][rng.below(5) as usize];
+            call(f, vec![operand(rng, depth - 1), operand(rng, depth - 1)])
+        }
         _ => {
             let f = [
                 Function::YearFromDateTime,
@@ -177,7 +204,7 @@ fn operand(rng: &mut TestRng) -> LogicalExpr {
     scaffold(rng, e)
 }
 
-/// A filter of the tape grammar.
+/// A condition: a comparison, a connective, `not`, or a bare operand.
 fn filter(rng: &mut TestRng, depth: u32) -> LogicalExpr {
     let cmp = [
         Function::Eq,
@@ -187,17 +214,18 @@ fn filter(rng: &mut TestRng, depth: u32) -> LogicalExpr {
         Function::Gt,
         Function::Lt,
     ];
-    match rng.below(if depth == 0 { 5 } else { 8 }) {
-        0 => operand(rng),
-        5 => call(Function::Not, vec![filter(rng, depth - 1)]),
-        6 | 7 => {
+    match rng.below(if depth == 0 { 6 } else { 9 }) {
+        0 => operand(rng, 1),
+        1 => call(Function::Not, vec![operand(rng, 1)]),
+        6 => call(Function::Not, vec![filter(rng, depth - 1)]),
+        7 | 8 => {
             let f = [Function::And, Function::Or][rng.below(2) as usize];
             let n = 1 + rng.below(2);
             call(f, (0..n).map(|_| filter(rng, depth - 1)).collect())
         }
         _ => {
             let f = cmp[rng.below(6) as usize];
-            call(f, vec![operand(rng), operand(rng)])
+            call(f, vec![operand(rng, 1), operand(rng, 1)])
         }
     }
 }
@@ -209,50 +237,57 @@ fn arb_filter() -> BoxedStrategy<LogicalExpr> {
     })
 }
 
-/// The filter as the runtime expression the SELECT evaluates, with the
-/// scan variable in tuple field 0.
-fn rt(e: &LogicalExpr) -> RtExpr {
-    RtExpr::compile(e, &[VarId(0)], None).expect("the filter reads only the scan variable")
+/// The condition compiled once, as the scan and the SELECT both run it:
+/// the scan variable (`var`) in tuple field 0.
+fn rt(e: &LogicalExpr, var: VarId) -> RtExpr {
+    RtExpr::compile(e, &[var], None).expect("the filter reads only the scan variable")
 }
 
-/// Effective boolean value of the item an expression evaluated to, as the
-/// SELECT's `and` reads it: a sequence is its first member's.
-fn ebv(item: ItemRef<'_>) -> bool {
-    match item.tag() {
-        tag::FALSE | tag::NULL => false,
-        tag::SEQUENCE => item.member(0).is_some_and(ebv),
-        _ => true,
-    }
+/// What the scan and the SELECT make of a record.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Verdict {
+    Drop,
+    Keep,
+    Fail,
 }
 
-/// Test the record at `node` both ways; returns the filter's verdict.
-fn check(
-    filter: &TapeFilter,
-    expr: &LogicalExpr,
-    index: &StructuralIndex,
-    buf: &[u8],
-    node: usize,
-) -> Option<bool> {
-    let verdict = filter.test(index, buf, node);
+/// Decide the record at `node` on the tape, on its binary item and in the
+/// SELECT; all three must agree, error texts included.
+fn check(filter: &RtExpr, index: &StructuralIndex, buf: &[u8], node: usize) -> Verdict {
     let mut record = Vec::new();
     index.write_binary_at(buf, node, &mut record).unwrap();
-    let frames = frames_from_rows(&[vec![record]], 64 * 1024);
+    let frames = frames_from_rows(&[vec![record.clone()]], 64 * 1024);
     let tuple = frames[0].tuple(0);
-    let mut out = Vec::new();
-    match (rt(expr).eval_ref(&tuple, None), verdict) {
-        (Ok(v), Some(keep)) => {
+    // `SelectOp` keeps a tuple whose predicate value starts with TRUE; its
+    // evaluator fails with `DataflowError::Eval` of the evaluator's error.
+    let select = filter
+        .eval_ref(&tuple, None)
+        .map(|v| {
+            let mut out = Vec::new();
             v.write(&mut out);
-            assert_eq!(
-                ebv(ItemRef::new(&out).unwrap()),
-                keep,
-                "tape verdict differs from the SELECT"
-            );
-        }
-        (Err(_), None) => {}
-        (Ok(_), None) => panic!("the tape failed where the SELECT does not"),
-        (Err(e), Some(keep)) => panic!("the tape decided {keep} where the SELECT fails: {e}"),
+            out.first() == Some(&tag::TRUE)
+        })
+        .map_err(|e| DataflowError::Eval(e.to_string()));
+    let tape = keeps(filter, TapeView::new(index, buf, node));
+    let adm = keeps(filter, ItemRef::new(&record).unwrap());
+    // The variant and the text.
+    let text = |r: dataflow::Result<bool>| r.map_err(|e| format!("{e:?}"));
+    let select = text(select);
+    assert_eq!(
+        text(tape),
+        select,
+        "the tape verdict differs from the SELECT"
+    );
+    assert_eq!(
+        text(adm),
+        select,
+        "the binary verdict differs from the SELECT"
+    );
+    match select {
+        Ok(false) => Verdict::Drop,
+        Ok(true) => Verdict::Keep,
+        Err(_) => Verdict::Fail,
     }
-    verdict
 }
 
 proptest! {
@@ -260,14 +295,12 @@ proptest! {
 
     #[test]
     fn a_tape_verdict_is_the_selects_verdict(doc in arb_record(), expr in arb_filter()) {
-        assert!(tape_evaluable(&expr, VarId(0)), "{expr}");
-        let filter = TapeFilter::compile(&expr, VarId(0)).expect("compiles");
         let index = StructuralIndex::build(doc.as_bytes()).expect("generated JSON parses");
-        check(&filter, &expr, &index, doc.as_bytes(), index.root());
+        check(&rt(&expr, VarId(0)), &index, doc.as_bytes(), index.root());
     }
 }
 
-/// The property is not vacuous: over the same generator, the tape rejects
+/// The property is not vacuous: over the same generator, the scan drops
 /// and keeps many records, and evaluating fails on many.
 #[test]
 fn the_generator_reaches_every_verdict() {
@@ -277,21 +310,13 @@ fn the_generator_reaches_every_verdict() {
     for _ in 0..2000 {
         let doc = records.new_value(&mut rng);
         let expr = filters.new_value(&mut rng);
-        let filter = TapeFilter::compile(&expr, VarId(0)).expect("compiles");
         let index = StructuralIndex::build(doc.as_bytes()).unwrap();
-        match check(&filter, &expr, &index, doc.as_bytes(), index.root()) {
-            Some(false) => seen[0] += 1,
-            Some(true) => seen[1] += 1,
-            None => seen[2] += 1,
-        }
+        seen[check(&rt(&expr, VarId(0)), &index, doc.as_bytes(), index.root()) as usize] += 1;
     }
-    assert!(
-        seen.iter().all(|&n| n >= 100),
-        "reject/keep/error: {seen:?}"
-    );
+    assert!(seen.iter().all(|&n| n >= 100), "drop/keep/fail: {seen:?}");
 }
 
-/// The filters the rule copies into each DATASCAN of `query`, with the
+/// The filters the rule moves into each DATASCAN of `query`, with the
 /// scan's projection path.
 fn scan_filters(query: &str) -> Vec<(ProjectionPath, VarId, LogicalExpr)> {
     let mut plan = jsoniq::compile(query).expect("compiles");
@@ -343,18 +368,14 @@ fn the_paper_queries_decide_every_ghcn_record() {
         let filters = scan_filters(query);
         assert_eq!(filters.len(), scans, "{name}: one filter per DATASCAN");
         for (project, var, expr) in filters {
-            let filter = TapeFilter::compile(&expr, var).expect("compiles");
-            let expr = {
-                let mut e = expr.clone();
-                e.substitute_var(var, VarId(0));
-                e
-            };
+            let filter = rt(&expr, var);
             let (mut rejected, mut total) = (0, 0);
             project_indexed_nodes(buf, &index, &project, |node| {
                 total += 1;
-                match check(&filter, &expr, &index, buf, node) {
-                    Some(keep) => rejected += usize::from(!keep),
-                    None => panic!("{name}: fails on {}", {
+                match check(&filter, &index, buf, node) {
+                    Verdict::Drop => rejected += 1,
+                    Verdict::Keep => {}
+                    Verdict::Fail => panic!("{name}: fails on {}", {
                         let (s, e) = index.span(node);
                         &doc[s..e]
                     }),

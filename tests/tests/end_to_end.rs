@@ -512,3 +512,130 @@ fn mixed_numeric_group_keys_group_together() {
     counts.sort();
     assert_eq!(counts, vec![1, 2], "1 and 1.0 must share a group");
 }
+
+/// A WHERE keeps a tuple only when its condition is the boolean `true`,
+/// under every rule configuration: the SELECT's rule, which the DATASCAN
+/// copies when the SELECT moves into it. A number, a string and a
+/// one-item sequence holding `true` keep nothing, although JSONiq's
+/// effective boolean value would keep the first two and the sequence
+/// (DESIGN.md §14).
+#[test]
+fn a_non_boolean_where_keeps_only_the_boolean_true() {
+    let root = scratch_dir("e2e-where-verdict");
+    std::fs::create_dir_all(root.join("flags")).unwrap();
+    let records = [
+        r#"{"id": 1, "v": 1}"#,
+        r#"{"id": 2, "v": 0}"#,
+        r#"{"id": 3, "v": "s"}"#,
+        r#"{"id": 4, "v": ""}"#,
+        r#"{"id": 5, "v": true}"#,
+        r#"{"id": 6, "v": false}"#,
+        r#"{"id": 7, "v": null}"#,
+        r#"{"id": 8, "f": [true]}"#,
+        r#"{"id": 9, "f": [false]}"#,
+        r#"{"id": 10, "f": [true, true]}"#,
+        r#"{"id": 11, "v": [true]}"#,
+        r#"{"id": 12}"#,
+    ];
+    // Two files, so that 2x2 scans split the records over partitions.
+    for (i, half) in records.chunks(6).enumerate() {
+        let doc = format!(r#"{{"root": [{}]}}"#, half.join(", "));
+        std::fs::write(root.join(format!("flags/part{i}.json")), doc).unwrap();
+    }
+    let flags = r#"collection("/flags")("root")()"#;
+    for (condition, ids) in [
+        // A number, a string, a boolean or anything else.
+        (r#"$r("v")"#, vec![5]),
+        // A one-item sequence holding `true`.
+        (r#"$r("f")()"#, vec![]),
+        // `not` negates the engine's effective boolean value, which is
+        // a boolean `true`. That value counts `0` and `""` as true, where
+        // JSONiq counts them false, so records 2 and 4 are not kept.
+        (r#"not($r("v"))"#, vec![6, 7, 8, 9, 10, 12]),
+        (r#"$r("v") eq 1"#, vec![1]),
+    ] {
+        let query = format!("for $r in {flags} where {condition} return $r(\"id\")");
+        let expected: Vec<Vec<Item>> = ids.iter().map(|&i| vec![Item::int(i)]).collect();
+        for rules in [RuleConfig::none(), RuleConfig::paper(), RuleConfig::all()] {
+            for (nodes, partitions_per_node) in [(1, 1), (2, 2)] {
+                let e = Engine::new(EngineConfig {
+                    cluster: ClusterSpec {
+                        nodes,
+                        partitions_per_node,
+                        ..Default::default()
+                    },
+                    rules,
+                    data_root: root.clone(),
+                    ..EngineConfig::default()
+                });
+                let got = sorted_rows(e.execute(&query).expect("runs").rows);
+                assert_eq!(
+                    got, expected,
+                    "{condition} under {rules:?} at {nodes}x{partitions_per_node}"
+                );
+            }
+        }
+    }
+}
+
+/// A `let` of a path some records lack binds the empty sequence and
+/// keeps the record, under every rule configuration: the pipelining
+/// rules fold a `value` chain into the scan's projection, which emits
+/// nothing for such a record, only where an UNNEST iterates the chain's
+/// value.
+#[test]
+fn a_let_of_a_missing_path_keeps_its_record_under_every_config() {
+    let root = scratch_dir("e2e-let-missing-path");
+    std::fs::create_dir_all(root.join("c")).unwrap();
+    std::fs::write(
+        root.join("c/a.json"),
+        r#"{"root": [{"v": null}, {"a": 1}, {"v": 3}, {"v": [4, 5]}]}"#,
+    )
+    .unwrap();
+    std::fs::write(root.join("c/b.json"), r#"{"root": [7, {"v": []}]}"#).unwrap();
+    let records = r#"collection("/c")("root")()"#;
+    for (query, rows) in [
+        (
+            format!(r#"for $r in {records} let $x := $r("v") return $x"#),
+            6,
+        ),
+        (
+            format!(r#"for $r in {records} let $x := $r("v") where not($x) return $x"#),
+            3,
+        ),
+        (
+            format!(r#"for $r in {records} let $x := $r("v") return count($x)"#),
+            6,
+        ),
+        (
+            format!(r#"for $r in {records} let $x := $r("v") for $y in $x() return $y"#),
+            2,
+        ),
+    ] {
+        let mut reference = None;
+        for rules in [
+            RuleConfig::none(),
+            RuleConfig::path_only(),
+            RuleConfig::path_and_pipelining(),
+            RuleConfig::paper(),
+            RuleConfig::all(),
+        ] {
+            for (nodes, partitions_per_node) in [(1, 1), (2, 2)] {
+                let e = Engine::new(EngineConfig {
+                    cluster: ClusterSpec {
+                        nodes,
+                        partitions_per_node,
+                        ..Default::default()
+                    },
+                    rules,
+                    data_root: root.clone(),
+                    ..EngineConfig::default()
+                });
+                let got = sorted_rows(e.execute(&query).expect("runs").rows);
+                assert_eq!(got.len(), rows, "{query} under {rules:?}: {got:?}");
+                let reference = reference.get_or_insert(got.clone());
+                assert_eq!(&got, reference, "{query} under {rules:?}");
+            }
+        }
+    }
+}

@@ -390,10 +390,10 @@ fn aggregate_errors_and_rows_agree_across_rule_configs() {
     }
 }
 
-/// A record the DATASCAN's tape filter cannot decide (a date `dateTime`
-/// rejects) flows on to the ASSIGN above the scan, so the query fails
-/// with the same error whether the scan filters or not, at every cluster
-/// shape; the other records, which the filter rejects, change nothing.
+/// A record on which the DATASCAN's filter fails (a date `dateTime`
+/// rejects) fails the query with the error the ASSIGN above the scan
+/// raises without the rule, at every cluster shape; the other records,
+/// which the filter drops, change nothing.
 #[test]
 fn a_bad_date_fails_the_same_with_and_without_the_scan_filter() {
     use algebra::rules::{RuleConfig, RuleSet};
@@ -452,4 +452,224 @@ fn a_bad_date_fails_the_same_with_and_without_the_scan_filter() {
         assert!(applied.contains(&RULE), "{applied:?}");
         assert!(plan.explain().contains(" filter "), "{}", plan.explain());
     }
+}
+
+const SCAN_FILTER: &str = "push-select-into-datascan";
+
+/// `query` over the collections under `root`, with and without the scan
+/// filter rule, at 1x1, 1x2, 2x2 and 2x`VXQ_PARTITIONS`: each pair gives
+/// the same sorted rows or the same error text. Returns the outcome with
+/// the rule at 1x1.
+fn same_with_and_without_the_scan_filter(
+    root: &std::path::Path,
+    query: &str,
+) -> Result<Vec<String>, String> {
+    use algebra::rules::{RuleConfig, RuleSet};
+    let run = |rules: RuleSet, nodes, partitions_per_node| {
+        Engine::with_rule_set(
+            EngineConfig {
+                cluster: ClusterSpec {
+                    nodes,
+                    partitions_per_node,
+                    ..Default::default()
+                },
+                data_root: root.to_path_buf(),
+                ..Default::default()
+            },
+            rules,
+        )
+        .execute(query)
+        .map(|r| {
+            let mut rows: Vec<String> = r.rows.iter().map(|row| format!("{row:?}")).collect();
+            rows.sort();
+            rows
+        })
+        .map_err(|e| e.to_string())
+    };
+    let ppn = integration_tests::partitions_from_env(2);
+    let mut first = None;
+    for (nodes, ppn) in [(1, 1), (1, 2), (2, 2), (2, ppn)] {
+        let with = run(RuleSet::for_config(RuleConfig::all()), nodes, ppn);
+        let without = run(
+            RuleSet::for_config(RuleConfig::all()).without(SCAN_FILTER),
+            nodes,
+            ppn,
+        );
+        assert_eq!(with, without, "{nodes}x{ppn}: {query}");
+        first.get_or_insert(with);
+    }
+    first.expect("ran")
+}
+
+/// Whether the scan filter rule fires on `query`, and so moves a filter
+/// into a DATASCAN.
+fn scan_filter_fires(query: &str) -> bool {
+    let e = engine_at(PathBuf::new());
+    let (plan, applied) = e.optimize(query).expect("optimizes");
+    let fired = applied.contains(&SCAN_FILTER);
+    assert_eq!(
+        fired,
+        plan.explain().contains(" filter "),
+        "{}",
+        plan.explain()
+    );
+    fired
+}
+
+/// Two node directories of GHCN-shaped records in `/sensors`; `odd`
+/// gives the fields of record `i` of node `n` that differ from a good
+/// reading.
+fn sensors_with(name: &str, odd: impl Fn(usize, usize) -> Option<&'static str>) -> PathBuf {
+    let root = scratch_dir(name);
+    for node in 0..2 {
+        let dir = root.join(format!("sensors/node{node}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let records: Vec<String> = (0..8)
+            .map(|i| match odd(node, i) {
+                Some(fields) => format!("{{{fields}}}"),
+                None => format!(
+                    r#"{{"date": "2013{:02}{:02}T00:00", "dataType": "TMIN", "value": {i}}}"#,
+                    1 + i,
+                    20 + i
+                ),
+            })
+            .collect();
+        let doc = format!(r#"{{"root": [{{"results": [{}]}}]}}"#, records.join(", "));
+        std::fs::write(dir.join("part.json"), doc).unwrap();
+    }
+    root
+}
+
+const RECORDS: &str = r#"collection("/sensors")("root")()("results")()"#;
+
+/// A conjunct that can fail moves into the scan with the rest of the
+/// condition, and the scan raises the error the SELECT raises.
+#[test]
+fn scan_filter_raises_a_failing_conjuncts_error() {
+    let root = sensors_with("failures-scan-filter-conjunct", |node, i| {
+        (node == 1 && i == 5).then_some(r#""date": "20130101T00:00", "value": "x""#)
+    });
+    let query = format!(r#"for $r in {RECORDS} where $r("value") - 1 gt 0 return $r"#);
+    assert!(scan_filter_fires(&query));
+    let err = same_with_and_without_the_scan_filter(&root, &query)
+        .expect_err("the string value fails the subtraction");
+    assert!(err.contains("arithmetic on non-numbers"), "{err}");
+    // Without the bad record the rows agree, and some are dropped.
+    let clean = sensors_with("failures-scan-filter-conjunct-clean", |_, _| None);
+    let rows = same_with_and_without_the_scan_filter(&clean, &query).expect("runs");
+    assert_eq!(rows.len(), 12, "values 2..7 of each node");
+}
+
+/// A record on which both a `let` the condition reads and a conjunct
+/// fail raises the `let`'s error, as the SELECT path does: the rule
+/// moves the condition when it reads the `let` first, and leaves the
+/// SELECT in place when the conjunct that can fail comes first.
+#[test]
+fn scan_filter_raises_the_lets_error_where_a_let_and_a_conjunct_fail() {
+    let root = sensors_with("failures-scan-filter-let-and-conjunct", |node, i| {
+        (node == 0 && i == 3).then_some(r#""date": "garbage", "value": "x""#)
+    });
+    let let_first = format!(
+        r#"for $r in {RECORDS} let $d := dateTime($r("date"))
+           where year-from-dateTime($d) ge 2000 and $r("value") - 1 gt 0 return $r"#
+    );
+    let conjunct_first = format!(
+        r#"for $r in {RECORDS} let $d := dateTime($r("date"))
+           where $r("value") - 1 gt 0 and year-from-dateTime($d) ge 2000 return $r"#
+    );
+    assert!(scan_filter_fires(&let_first));
+    assert!(!scan_filter_fires(&conjunct_first));
+    for query in [let_first, conjunct_first] {
+        let err = same_with_and_without_the_scan_filter(&root, &query)
+            .expect_err("the bad record fails the query");
+        assert!(err.contains("garbage"), "{query}: {err}");
+    }
+}
+
+/// Binary `.adm` collections are filtered too: the scan evaluates the
+/// filter on each item's binary view. The paper's queries give the same
+/// rows with and without the rule, and the rows of the same data as
+/// JSON text; a bad date fails with the same text.
+#[test]
+fn scan_filter_gives_adm_collections_the_same_rows() {
+    let root = scratch_dir("failures-scan-filter-adm");
+    let spec = SensorSpec {
+        seed: 11,
+        nodes: 2,
+        files_per_node: 2,
+        records_per_file: 6,
+        measurements_per_array: 12,
+        stations: 3,
+        start_year: 2002,
+        years: 3,
+    };
+    spec.generate(&root.join("json")).unwrap();
+    for node in 0..spec.nodes {
+        let dir = root.join(format!("adm/node{node}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        for f in 0..spec.files_per_node {
+            let item = spec.file_item(node * spec.files_per_node + f);
+            std::fs::write(
+                dir.join(format!("part{f}.adm")),
+                jdm::binary::to_bytes(&item),
+            )
+            .unwrap();
+        }
+    }
+    for (name, query) in queries::SENSOR_QUERIES {
+        let adm = query.replace(r#"collection("/sensors")"#, r#"collection("/adm")"#);
+        let json = query.replace(r#"collection("/sensors")"#, r#"collection("/json")"#);
+        assert!(scan_filter_fires(&adm), "{name}");
+        let rows = same_with_and_without_the_scan_filter(&root, &adm).expect(name);
+        assert_eq!(
+            Ok(rows),
+            same_with_and_without_the_scan_filter(&root, &json),
+            "{name}: .adm and .json rows differ"
+        );
+    }
+    // The filter ran on the binary items: the scan dropped records.
+    let e = engine_at(root.clone());
+    let adm_q0 = queries::Q0.replace(r#"collection("/sensors")"#, r#"collection("/adm")"#);
+    let splits = e.execute(&adm_q0).expect("runs").stats.profile.splits;
+    let (tested, emitted) = splits
+        .iter()
+        .fold((0, 0), |(t, m), s| (t + s.tuples, m + s.emitted));
+    assert!(emitted < tested, "{emitted} of {tested} emitted");
+
+    // One bad date in a binary file.
+    let bad = scratch_dir("failures-scan-filter-adm-bad-date");
+    let dir = bad.join("sensors/node0");
+    std::fs::create_dir_all(&dir).unwrap();
+    let doc = r#"{"root": [{"results": [
+        {"date": "20131225T00:00", "value": 1},
+        {"date": "garbage", "value": 2}]}]}"#;
+    let item = jdm::parse::parse_item(doc.as_bytes()).unwrap();
+    std::fs::write(dir.join("part.adm"), jdm::binary::to_bytes(&item)).unwrap();
+    for query in [queries::Q0, queries::Q0B] {
+        let err = same_with_and_without_the_scan_filter(&bad, query).expect_err("bad date");
+        assert!(err.contains("garbage"), "{err}");
+    }
+}
+
+/// The move keeps a record's error, not the order of errors across
+/// records. The operators run a frame at a time, so without the rule the
+/// `let` fails on the second record before the SELECT tests the first;
+/// the scan tests the first record whole and raises its conjunct's
+/// error. Left failing: DESIGN.md §14.
+#[test]
+#[ignore = "the scan meets records one by one, the SELECT path a frame at a time"]
+fn scan_filter_error_order_across_records_of_one_frame() {
+    let root = sensors_with("failures-scan-filter-frame-order", |node, i| {
+        match (node, i) {
+            (0, 1) => Some(r#""date": "20130101T00:00", "value": "x""#),
+            (0, 2) => Some(r#""date": "garbage", "value": 1"#),
+            _ => None,
+        }
+    });
+    let query = format!(
+        r#"for $r in {RECORDS} let $d := dateTime($r("date"))
+           where year-from-dateTime($d) ge 2000 and $r("value") - 1 gt 0 return $r"#
+    );
+    assert!(scan_filter_fires(&query));
+    same_with_and_without_the_scan_filter(&root, &query).expect_err("fails");
 }

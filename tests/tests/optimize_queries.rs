@@ -61,9 +61,11 @@ const Q2: &str = r#"
     ) div 10
 "#;
 
+/// The paper's final Q0 plan; under `all()` the SELECT moves into the
+/// scan (`the_scan_filter_moves_the_select_into_each_datascan`).
 #[test]
 fn q0_fully_optimized_is_scan_select_distribute() {
-    let plan = optimized(Q0, RuleConfig::all());
+    let plan = optimized(Q0, RuleConfig::paper());
     let t = plan.explain();
     assert!(t.contains(r#"project ("root")()("results")()"#), "{t}");
     assert!(t.contains("select"), "{t}");
@@ -129,9 +131,13 @@ fn q2_optimized_has_join_over_two_scans() {
     let t = plan.explain();
     assert!(t.contains("join"), "{t}");
     assert_eq!(t.matches("data-scan").count(), 2, "{t}");
-    // dataType filters pushed below the join.
-    assert_eq!(t.matches("select").count(), 2, "{t}");
+    // dataType filters pushed below the join, into the two scans.
+    assert_eq!(t.matches(r#", "dataType"), "TM"#).count(), 2, "{t}");
+    assert_eq!(t.matches(" filter ").count(), 2, "{t}");
     assert!(t.contains("avg("), "{t}");
+    // The paper's plan keeps them as SELECTs below the join.
+    let t = optimized(Q2, RuleConfig::paper()).explain();
+    assert_eq!(t.matches("select").count(), 2, "{t}");
 }
 
 /// The one-sided `value` steps of Q2's return move below the join, so
@@ -252,11 +258,11 @@ fn scan_lines(plan: &LogicalPlan) -> Vec<String> {
         .collect()
 }
 
-/// `push-select-into-datascan` copies each SELECT above a DATASCAN into
-/// the scan, with the ASSIGNs it reads inlined; the SELECT and ASSIGN
-/// stay, so the operator shapes are unchanged.
+/// `push-select-into-datascan` moves each SELECT above a DATASCAN into
+/// the scan, with the ASSIGNs it reads inlined: no SELECT is left over
+/// a scan, and the ASSIGNs only the SELECT read are gone.
 #[test]
-fn the_scan_filter_copies_the_select_into_each_datascan() {
+fn the_scan_filter_moves_the_select_into_each_datascan() {
     let date = |v: &str| format!(r#"dateTime(value(${v}, "date"))"#);
     let q0 = optimized(Q0, RuleConfig::all());
     let v = "7";
@@ -271,8 +277,9 @@ fn the_scan_filter_copies_the_select_into_each_datascan() {
     );
     assert_eq!(
         q0.shape(),
-        optimized(Q0, RuleConfig::paper()).shape(),
-        "the SELECT and ASSIGN stay"
+        vec!["distribute", "data-scan", "empty-tuple-source"],
+        "{}",
+        q0.explain()
     );
 
     let q0b = optimized(Q0B, RuleConfig::all());
@@ -283,6 +290,12 @@ fn the_scan_filter_copies_the_select_into_each_datascan() {
         ),
         "{line}"
     );
+    assert_eq!(
+        q0b.shape(),
+        vec!["distribute", "data-scan", "empty-tuple-source"],
+        "{}",
+        q0b.explain()
+    );
 
     for query in [Q1, Q1B] {
         let plan = optimized(query, RuleConfig::all());
@@ -291,8 +304,6 @@ fn the_scan_filter_copies_the_select_into_each_datascan() {
             line.ends_with(r#", "dataType"), "TMIN")"#) && line.contains(" filter eq(value($"),
             "{line}"
         );
-        let t = plan.explain();
-        assert!(t.contains(r#"select eq(value($"#), "{t}");
     }
 
     let q2 = optimized(Q2, RuleConfig::all());
@@ -300,17 +311,24 @@ fn the_scan_filter_copies_the_select_into_each_datascan() {
     assert_eq!(lines.len(), 2, "{}", q2.explain());
     assert!(lines[0].ends_with(r#", "dataType"), "TMIN")"#), "{lines:?}");
     assert!(lines[1].ends_with(r#", "dataType"), "TMAX")"#), "{lines:?}");
-    assert_eq!(q2.explain().matches("select ").count(), 2);
 
-    // The paper's configuration has no scan filter.
-    for query in [Q0, Q0B, Q1, Q2] {
+    for query in [Q0, Q0B, Q1, Q1B, Q2] {
+        let plan = optimized(query, RuleConfig::all());
+        assert!(
+            !plan.shape().contains(&"select"),
+            "no SELECT is left: {}",
+            plan.explain()
+        );
+        // The paper's configuration has no scan filter.
         let plan = optimized(query, RuleConfig::paper());
         assert!(!plan.explain().contains(" filter "), "{}", plan.explain());
     }
 }
 
-/// The filter may only drop records the SELECT drops without error, so
-/// the rule stays off when an operator it would bypass can fail.
+/// A record the scan drops never reaches the operators above it, so the
+/// rule stays off when an ASSIGN the condition does not read can fail.
+/// A condition that can fail moves whole: the scan raises its error, as
+/// long as it meets the failing expressions in the SELECT path's order.
 #[test]
 fn the_scan_filter_never_bypasses_a_failing_expression() {
     let records = r#"collection("/sensors")("root")()("results")()"#;
@@ -319,12 +337,14 @@ fn the_scan_filter_never_bypasses_a_failing_expression() {
         r#"for $r in {records} let $d := dateTime($r("date"))
            where $r("dataType") eq "TMIN" return $d"#
     );
-    // A conjunct the tape cannot test, and that can fail.
-    let failing_conjunct = format!(
-        r#"for $r in {records}
-           where $r("dataType") eq "TMIN" and $r("value") - 1 gt 0 return $r"#
+    // A `let` that can fail, read by the condition after a conjunct that
+    // can fail: the SELECT path fails on the `let` first, the filter
+    // would fail on the conjunct first.
+    let conjunct_first = format!(
+        r#"for $r in {records} let $d := dateTime($r("date"))
+           where $r("value") - 1 gt 0 and year-from-dateTime($d) ge 2000 return $r"#
     );
-    for query in [&failing_let, &failing_conjunct] {
+    for query in [&failing_let, &conjunct_first] {
         let plan = optimized(query, RuleConfig::all());
         assert!(
             !plan.explain().contains(" filter "),
@@ -332,19 +352,44 @@ fn the_scan_filter_never_bypasses_a_failing_expression() {
             plan.explain()
         );
     }
-    // A conjunct the tape cannot test but that cannot fail is left to
-    // the SELECT; the rest goes to the scan.
+    // The same two, the `let` read first: the orders agree.
+    let let_first = format!(
+        r#"for $r in {records} let $d := dateTime($r("date"))
+           where year-from-dateTime($d) ge 2000 and $r("value") - 1 gt 0 return $r"#
+    );
+    // A conjunct that can fail.
+    let failing_conjunct = format!(
+        r#"for $r in {records}
+           where $r("dataType") eq "TMIN" and $r("value") - 1 gt 0 return $r"#
+    );
+    // A numeric index step.
     let index_step = format!(
         r#"for $r in {records}
            where $r("dataType") eq "TMIN" and $r(1) eq 2 return $r"#
     );
-    let plan = optimized(&index_step, RuleConfig::all());
-    let [line] = scan_lines(&plan).try_into().expect("one scan");
-    assert!(
-        line.ends_with(r#" filter eq(value($7, "dataType"), "TMIN")"#),
-        "{}",
-        plan.explain()
-    );
+    for (query, filter) in [
+        (
+            &let_first,
+            r#"and(ge(year-from-dateTime(dateTime(value($7, "date"))), 2000), gt(subtract(value($7, "value"), 1), 0))"#,
+        ),
+        (
+            &failing_conjunct,
+            r#"and(eq(value($7, "dataType"), "TMIN"), gt(subtract(value($7, "value"), 1), 0))"#,
+        ),
+        (
+            &index_step,
+            r#"and(eq(value($7, "dataType"), "TMIN"), eq(value($7, 1), 2))"#,
+        ),
+    ] {
+        let plan = optimized(query, RuleConfig::all());
+        let [line] = scan_lines(&plan).try_into().expect("one scan");
+        assert!(
+            line.ends_with(&format!(" filter {filter}")),
+            "{query}\n{}",
+            plan.explain()
+        );
+        assert!(!plan.shape().contains(&"select"), "{}", plan.explain());
+    }
 }
 
 /// Under `all()`, eager aggregation gives each side of Q2's join a
@@ -362,16 +407,14 @@ fn eager_aggregation_rewrites_q2() {
           aggregate $21 := side-partial(value($7, "value"))
             nested-tuple-source
         }
-          select eq(value($7, "dataType"), "TMIN")
-            data-scan $7 <- collection("/sensors") project ("root")()("results")() filter eq(value($7, "dataType"), "TMIN")
-              empty-tuple-source
+          data-scan $7 <- collection("/sensors") project ("root")()("results")() filter eq(value($7, "dataType"), "TMIN")
+            empty-tuple-source
         group-by [$24 := value($15, "station"), $26 := value($15, "date")] {
           aggregate $22 := side-partial(value($15, "value"))
             nested-tuple-source
         }
-          select eq(value($15, "dataType"), "TMAX")
-            data-scan $15 <- collection("/sensors") project ("root")()("results")() filter eq(value($15, "dataType"), "TMAX")
-              empty-tuple-source
+          data-scan $15 <- collection("/sensors") project ("root")()("results")() filter eq(value($15, "dataType"), "TMAX")
+            empty-tuple-source
 "#;
     assert_eq!(plan.explain(), expected);
 }
